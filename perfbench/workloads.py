@@ -82,8 +82,8 @@ class Phase:
     timed_s: float = 0.0
     sim_seconds: float = 0.0
     threads: int = 1
-    #: Latency of each operation: a rule interval on ingest_jz5, a read
-    #: request on the dashboard workloads.
+    #: Latency of each operation: a rule interval on ingest_jz5, one
+    #: viewer's load of every shipped panel on the dashboard workloads.
     op_latencies: list[float] = field(default_factory=list)
     #: Read latencies by kind: "range", "instant", "api".
     by_kind: dict[str, list[float]] = field(default_factory=dict)
@@ -249,6 +249,8 @@ class _Reader:
     def __init__(self, sim, tracer: Tracer) -> None:
         self.sim = sim
         self.tracer = tracer
+        #: Latency of each completed dashboard load.
+        self.loads: list[float] = []
         self.latencies: list[float] = []
         self.kinds: list[str] = []
         self.seen: dict[Read, dict[bytes, int]] = {}
@@ -266,6 +268,15 @@ class _Reader:
             return
         bodies = self.seen.setdefault(read, {})
         bodies[response.body] = bodies.get(response.body, 0) + 1
+
+    def load(self, reads: list[Read], deadline: float = math.inf) -> None:
+        """Send one dashboard load; it counts only if it completes."""
+        t0 = perf_counter()
+        for read in reads:
+            if perf_counter() >= deadline:
+                return
+            self.send(read)
+        self.loads.append(perf_counter() - t0)
 
 
 def _repeats(seen: dict[Read, dict[bytes, int]]) -> int:
@@ -285,7 +296,7 @@ def _check_reads(sim, direct: LoadBalancer, seen: dict[Read, dict[bytes, int]], 
 
 def _read_phase(phase: Phase, readers: list[_Reader], checks: Checks) -> None:
     for reader in readers:
-        phase.op_latencies.extend(reader.latencies)
+        phase.op_latencies.extend(reader.loads)
         for kind, latency in zip(reader.kinds, reader.latencies):
             phase.by_kind.setdefault(kind, []).append(latency)
         for note in reader.failed:
@@ -349,7 +360,7 @@ class _Dashboards:
         phase.props.update(
             samples_per_query={k: round(sum(v) / len(v)) for k, v in touched.items()},
             requests=kinds,
-            repeat_share=phase.repeats / max(1, len(phase.op_latencies)),
+            repeat_share=phase.repeats / max(1, sum(kinds.values())),
             series=sim.hot_tsdb.num_series,
             units=len(sim.db.list_units(limit=10**9)),
             results_cache_bytes=cache.stats()["bytes"],
@@ -382,10 +393,7 @@ class Settled(_Dashboards):
         def client(i: int) -> None:
             rng = random.Random(seed * 1000 + i)
             while perf_counter() < deadline:
-                for read in viewer.load(viewer.pick_unit(rng), *rng.choice(windows)):
-                    readers[i].send(read)
-                    if perf_counter() >= deadline:
-                        return
+                readers[i].load(viewer.load(viewer.pick_unit(rng), *rng.choice(windows)), deadline)
 
         threads = [threading.Thread(target=client, args=(i,)) for i in range(SETTLED_CLIENTS)]
         started = perf_counter()
@@ -427,8 +435,7 @@ class Live(_Dashboards):
             tracer.call(TICK, sim.run, sim.config.scrape_interval)
             for _ in range(LIVE_VIEWERS):
                 end = sim.now
-                for read in viewer.load(viewer.pick_unit(rng), end - rng.choice(WINDOW_LENGTHS), end):
-                    reader.send(read)
+                reader.load(viewer.load(viewer.pick_unit(rng), end - rng.choice(WINDOW_LENGTHS), end))
             phase.timed_s += perf_counter() - t0
             phase.sim_seconds += sim.config.scrape_interval
             # Clock stopped: the direct path must answer the same at
