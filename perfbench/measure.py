@@ -1,11 +1,16 @@
-"""Latency summaries, failure accounting and the final-state digest."""
+"""Latency summaries, host speed, failure accounting and the state digest."""
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 import math
+import random
 import resource
+from time import perf_counter
+
+import numpy as np
 
 #: A p99 is published only from at least this many samples, so that at
 #: least ten samples lie beyond it.
@@ -20,7 +25,14 @@ HOST_MEASURED = ("ceems_http_", "ceems_exporter_scrape_cpu_seconds_total")
 
 
 def percentile(values: list[float], q: float) -> float:
-    """Nearest-rank percentile ``q`` (0-100) of a non-empty sample."""
+    """Nearest-rank percentile ``q`` (0-100) of a non-empty sample.
+
+    Nearest rank always returns an observed sample with at least
+    ``100 - q`` % of the sample at or above it, which is what the
+    :data:`MIN_P99_SAMPLES` rule counts on.  ``benchmarks/bench_serving``
+    rounds an interpolation index instead; the two can pick neighbouring
+    samples, so compare p50s only within one of the two benchmarks.
+    """
     if not values:
         raise ValueError("percentile of an empty sample")
     ordered = sorted(values)
@@ -37,6 +49,87 @@ def latency_summary(seconds: list[float]) -> dict[str, float | int | None]:
         "p50_ms": percentile(seconds, 50) * 1e3 if n else None,
         "p99_ms": percentile(seconds, 99) * 1e3 if n >= MIN_P99_SAMPLES else None,
     }
+
+
+#: Wall seconds of one host-speed sample on the reference host (a 2-vCPU
+#: 2.0 GHz Xeon VM, typical of its quiet hours): timings are reported as
+#: if the host ran this fast.
+REFERENCE_SAMPLE_S = 0.006
+
+
+class HostSpeed:
+    """How fast the host runs this kind of Python right now.
+
+    Other tenants of a shared host change its speed, on the reference
+    host by up to 2x over minutes, and an unmodified pipeline phase slows
+    with it.  A sample times three fixed kernels that do not depend on
+    the program: string-keyed dict updates with small numpy reductions,
+    random lookups in a dict of 40k lists, and numpy gathers and sorts
+    over 3 MB.  A phase takes a sample after each piece of timed work
+    (a tick, a sub-phase, a twentieth of a warm-up) and scales the
+    piece's wall times by ``REFERENCE_SAMPLE_S`` over the mean of that
+    sample and the one before it.  On the reference host, over 4 minutes
+    of a fixed 0.4 s pipeline piece repeated, the spread (quartile
+    distance over median) of 10 s window medians was 18 % raw and 3 to
+    5 % scaled per piece.
+    """
+
+    def __init__(self) -> None:
+        before = peak_rss_mb()
+        rng = random.Random(0)
+        self._table = {f"s{i}": [i, float(i), f"v{i}"] for i in range(40_000)}
+        self._keys = [f"s{rng.randrange(40_000)}" for _ in range(15_000)]
+        gen = np.random.default_rng(0)
+        self._array = gen.random(400_000)
+        self._index = gen.integers(0, len(self._array), 200_000)
+        self._gathered = np.empty(len(self._index))
+        self._sorted = np.empty(100_000)
+        self._small = np.arange(20_000, dtype=float)
+        #: Resident memory the kernels hold for the whole run (they
+        #: allocate nothing large while sampling).
+        self.footprint_mb = peak_rss_mb() - before
+        self.samples: list[float] = []
+
+    def _dict_kernel(self) -> None:
+        counts: dict[str, float] = {}
+        for i in range(6_000):
+            key = f"k{i % 300}"
+            counts[key] = counts.get(key, 0.0) + i * 1.5
+            if i % 40 == 0:
+                float((self._small[i % 100 : i % 100 + 2_000] * 1.1).sum())
+
+    def _lookup_kernel(self) -> None:
+        table, total = self._table, 0.0
+        for key in self._keys:
+            total += table[key][1]
+
+    def _numpy_kernel(self) -> None:
+        for _ in range(2):
+            float(np.take(self._array, self._index, out=self._gathered).sum())
+            self._sorted[:] = self._array[: len(self._sorted)]
+            self._sorted.sort()
+
+    def sample(self) -> None:
+        """Time the kernels once (with the collector off, so the
+        program's heap does not add a collection to a sample)."""
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            times = []
+            for kernel in (self._dict_kernel, self._lookup_kernel, self._numpy_kernel):
+                t0 = perf_counter()
+                kernel()
+                times.append(perf_counter() - t0)
+        finally:
+            if collecting:
+                gc.enable()
+        self.samples.append(math.prod(times) ** (1.0 / len(times)))
+
+    def recent_factor(self) -> float:
+        """Reference over measured speed for the work done between the
+        last two samples."""
+        recent = self.samples[-2:]
+        return REFERENCE_SAMPLE_S * len(recent) / sum(recent)
 
 
 class Checks:

@@ -11,6 +11,11 @@ and the last line is one JSON object: the end-to-end metrics with
 phase, its coverage by layer spans and the tracing overhead against an
 untraced phase on an identical set-up.  The spans are written to
 ``perfbench/traces/``.  Exit status 1 means a correctness check failed.
+
+Every time reported is a wall (or, per layer, CPU) time scaled to the
+reference host speed of :class:`perfbench.measure.HostSpeed`, sampled
+during the same set-up or phase; the report prints each factor, so the
+raw time is the reported one divided by it.
 """
 
 from __future__ import annotations
@@ -28,6 +33,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Set-ups per run; ``setup_s`` reports their median.
 SETUPS = 3
+#: A set-up advances its warm-up in this many pieces, with a host-speed
+#: sample after each.
+WARMUP_PIECES = 20
 
 #: End-to-end metric -> unit (every workload reports all of them).
 END_TO_END = {
@@ -107,27 +115,35 @@ def op_metrics(phase) -> dict[str, float]:
     }
 
 
-def end_to_end(phase, setups: list[float]) -> dict[str, float]:
+def workload_rss_mb(host) -> float:
+    """Peak resident memory, less what the host-speed kernels hold."""
     from perfbench.measure import peak_rss_mb
 
-    return {"setup_s": statistics.median(setups), "peak_rss_mb": peak_rss_mb(), **op_metrics(phase)}
+    return peak_rss_mb() - host.footprint_mb
+
+
+def end_to_end(phase, setups: list[float], host) -> dict[str, float]:
+    return {"setup_s": statistics.median(setups), "peak_rss_mb": workload_rss_mb(host), **op_metrics(phase)}
 
 
 def per_layer(tracer, phase, untraced) -> dict[str, float]:
     from perfbench.trace import covered_seconds, layer_stats
 
+    f = phase.host_factor
     stats = layer_stats(tracer.spans)
     values: dict[str, float] = {}
     for layer, wanted in LAYER_REPORT.items():
         row = stats.get(layer)
         for stat in wanted:
-            values[f"{layer}.{stat}"] = getattr(row, stat) if row else 0
+            value = getattr(row, stat) if row else 0
+            values[f"{layer}.{stat}"] = value if stat == "calls" else value * f
     counters = dict(phase.counters, **{"exporter.scrape.bytes": tracer.exporter_bytes})
     for name in COUNTERS:
         values[name] = counters.get(name, 0)
-    covered_s = covered_seconds(tracer.spans)
-    # Thread-seconds of timed work: the closed loop runs several clients.
-    timed_s = phase.timed_s * phase.threads
+    # Spans and the timed work are both in CPU seconds of the threads
+    # that did the work.
+    covered_s = covered_seconds(tracer.spans) * f
+    timed_s = phase.cpu_s * f
     traced, reference = op_metrics(phase), op_metrics(untraced)
     values.update(
         {
@@ -143,20 +159,23 @@ def per_layer(tracer, phase, untraced) -> dict[str, float]:
     return values
 
 
-def report(workload: str, phase, setups: list[float], checks, digest: str) -> None:
+def report(workload: str, phase, setups: list[float], setup_factors: list[float], host, checks, digest: str) -> None:
     """The human-readable part: every metric with its sample count."""
-    from perfbench.measure import latency_summary, peak_rss_mb
+    from perfbench.measure import latency_summary
 
-    print(f"workload {workload}")
+    timed_s = phase.timed_s
+    print(f"workload {workload}  (times at reference host speed; raw = reported / factor)")
     print(f"  setup_s           {statistics.median(setups):.3f} s (median of {len(setups)}: "
-          + ", ".join(f"{s:.3f}" for s in setups) + ")")
-    print(f"  peak_rss_mb       {peak_rss_mb():.1f} MB")
-    print(f"  timed phase       {phase.timed_s:.3f} s, {len(phase.op_latencies)} ops")
+          + ", ".join(f"{s:.3f}" for s in setups) + "; factors "
+          + ", ".join(f"{x:.3f}" for x in setup_factors) + ")")
+    print(f"  peak_rss_mb       {workload_rss_mb(host):.1f} MB (host-speed kernels' {host.footprint_mb:.1f} MB left out)")
+    print(f"  timed phase       {timed_s:.3f} s, {len(phase.op_latencies)} ops, "
+          f"host factor {phase.host_factor:.3f} (raw {phase.raw_s:.3f} s)")
     if phase.sim_seconds:
-        print(f"  sim_speedup       {phase.sim_seconds / phase.timed_s:.2f} x ({phase.sim_seconds:.0f} sim s)")
+        print(f"  sim_speedup       {phase.sim_seconds / timed_s:.2f} x ({phase.sim_seconds:.0f} sim s)")
     if phase.by_kind:
         n = sum(len(v) for v in phase.by_kind.values())
-        print(f"  requests_per_s    {n / phase.timed_s:.1f} 1/s ({n} requests, {phase.threads} thread(s))")
+        print(f"  requests_per_s    {n / timed_s:.1f} 1/s ({n} requests, {phase.threads} thread(s))")
         for kind in ("range", "instant", "api"):
             s = latency_summary(phase.by_kind.get(kind, []))
             p50 = f"{s['p50_ms']:.3f} ms" if s["p50_ms"] is not None else "n/a"
@@ -192,7 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"perfbench: no src/repro under {ROOT}; run from a repository checkout", file=sys.stderr)
         return 2
     sys.path[:0] = [os.path.join(ROOT, "src"), ROOT]
-    from perfbench.measure import Checks, state_digest
+    from perfbench.measure import Checks, HostSpeed, state_digest
     from perfbench.trace import Tracer
     from perfbench.workloads import WORKLOADS
 
@@ -211,26 +230,45 @@ def main(argv: list[str] | None = None) -> int:
     if args.trace:
         tracer.install()
     checks = Checks()
+    host = HostSpeed()
     setups: list[float] = []
-    untraced = sim = None
+    setup_factors: list[float] = []
+    setup_digests: list[str] = []
+    untraced = untraced_digest = sim = None
     for i in range(SETUPS):
         sim = None
         gc.collect()
+        raw = setup = 0.0
         started = perf_counter()
         sim = workload.build(args.seed)
-        setups.append(perf_counter() - started)
+        for _ in range(WARMUP_PIECES):
+            sim.run(workload.warmup / WARMUP_PIECES)
+            piece = perf_counter() - started
+            host.sample()
+            raw += piece
+            setup += piece * host.recent_factor()
+            started = perf_counter()
+        setups.append(setup)
+        setup_factors.append(setup / raw)
+        setup_digests.append(state_digest(sim))
         if args.trace and i == SETUPS - 2:
             # The overhead reference: the same phase on an identical
             # set-up, wrappers installed but not recording.
-            untraced = workload.measure(sim, args.seed, args.seconds, tracer, checks)
+            untraced = workload.measure(sim, args.seed, args.seconds, tracer, checks, host)
+            untraced_digest = state_digest(sim)
+    checks.record(len(set(setup_digests)) == 1, f"set-up digests differ: {setup_digests}")
 
     tracer.classify_apps(sim)
     tracer.enabled = bool(args.trace)
-    phase = workload.measure(sim, args.seed, args.seconds, tracer, checks)
+    phase = workload.measure(sim, args.seed, args.seconds, tracer, checks, host)
     tracer.enabled = False
+    if args.trace:
+        traced_digest = state_digest(sim)
+        checks.record(traced_digest == untraced_digest,
+                      f"digest after the traced phase {traced_digest} != untraced {untraced_digest}")
     workload.verify(sim, phase, checks)
     digest = state_digest(sim)
-    report(args.workload, phase, setups, checks, digest)
+    report(args.workload, phase, setups, setup_factors, host, checks, digest)
 
     if args.trace:
         trace_dir = os.path.join(ROOT, "perfbench", "traces")
@@ -240,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  spans             {len(tracer.spans)} written to {os.path.relpath(path, ROOT)}")
         values, units = per_layer(tracer, phase, untraced), per_layer_units()
     else:
-        values, units = end_to_end(phase, setups), END_TO_END
+        values, units = end_to_end(phase, setups, host), END_TO_END
     metrics = {name: {"value": float(values[name]), "unit": unit} for name, unit in units.items()}
     print(json.dumps({
         "correct": checks.correct,

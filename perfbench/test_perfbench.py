@@ -11,9 +11,17 @@ import os
 import pytest
 
 from perfbench import run
-from perfbench.measure import MIN_P99_SAMPLES, Checks, latency_summary, percentile, state_digest
+from perfbench.measure import (
+    MIN_P99_SAMPLES,
+    REFERENCE_SAMPLE_S,
+    Checks,
+    HostSpeed,
+    latency_summary,
+    percentile,
+    state_digest,
+)
 from perfbench.trace import TICK, Span, Tracer, covered_seconds, layer_stats, self_times
-from perfbench.workloads import Phase
+from perfbench.workloads import Phase, _drawn_repeat_share
 from repro.cluster import StackSimulation, small_topology
 from repro.cluster.simulation import SimulationConfig
 
@@ -37,6 +45,22 @@ def test_p99_needs_enough_samples():
     full = latency_summary([i / 1000.0 for i in range(1, MIN_P99_SAMPLES + 1)])
     assert full["p99_ms"] == pytest.approx(990.0)
     assert latency_summary([]) == {"n": 0, "p50_ms": None, "p99_ms": None}
+
+
+def test_p99_rule_leaves_ten_samples_beyond():
+    values = [float(v) for v in range(MIN_P99_SAMPLES)]
+    p99 = latency_summary([v / 1e3 for v in values])["p99_ms"]
+    assert sum(v > p99 for v in values) == 10
+
+
+# -- host speed -----------------------------------------------------------------
+def test_host_factor_uses_the_samples_around_a_piece():
+    host = HostSpeed()
+    host.sample()
+    assert len(host.samples) == 1 and host.samples[0] > 0
+    assert host.recent_factor() == pytest.approx(REFERENCE_SAMPLE_S / host.samples[0])
+    host.samples = [0.05, 0.004, 0.008]
+    assert host.recent_factor() == pytest.approx(REFERENCE_SAMPLE_S / 0.006)
 
 
 # -- self time and layer statistics ---------------------------------------------
@@ -143,11 +167,12 @@ def _small_sim(seed: int) -> StackSimulation:
 
 class _FailingWorkload:
     name = "failing"
+    warmup = 60.0
 
     def build(self, seed):
         return _small_sim(seed)
 
-    def measure(self, sim, seed, seconds, tracer, checks):
+    def measure(self, sim, seed, seconds, tracer, checks, host):
         phase = Phase(timed_s=1.0, op_latencies=[0.5, 0.5])
         checks.record(True, "", 2)
         return phase
@@ -165,8 +190,36 @@ def test_failed_check_makes_the_command_fail(monkeypatch, capsys):
     result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 1
     assert result["correct"] is False
-    assert (result["attempted"], result["failed"]) == (3, 1)
+    # The set-up digest check, two timed operations, the failing check.
+    assert (result["attempted"], result["failed"]) == (4, 1)
     assert set(result["metrics"]) == set(run.END_TO_END)
+
+
+class _DriftingWorkload(_FailingWorkload):
+    """Builds a different state on each set-up: the digest check fails."""
+
+    def __init__(self):
+        self.builds = 0
+
+    def build(self, seed):
+        self.builds += 1
+        return _small_sim(seed + self.builds)
+
+    def verify(self, sim, phase, checks):
+        pass
+
+
+def test_set_up_digests_must_repeat(monkeypatch, capsys):
+    from perfbench import workloads
+
+    monkeypatch.setattr(run, "SETUPS", 2)
+    monkeypatch.setitem(workloads.WORKLOADS, "drifting", _DriftingWorkload())
+    code = run.main(["--workload", "drifting", "--seed", "1", "--seconds", "1"])
+    out = capsys.readouterr().out
+    result = json.loads(out.strip().splitlines()[-1])
+    assert code == 1
+    assert (result["attempted"], result["failed"]) == (3, 1)
+    assert "set-up digests differ" in out
 
 
 # -- digest ---------------------------------------------------------------------
@@ -174,6 +227,22 @@ def test_digest_repeats_for_a_seed():
     first, again, other = _small_sim(5), _small_sim(5), _small_sim(6)
     assert state_digest(first) == state_digest(again)
     assert state_digest(first) != state_digest(other)
+
+
+class _Viewer:
+    units = [("u1", "alice"), ("u2", "bob")]
+
+    def load(self, unit, start, end):
+        return [(unit, start, end, "instant"), (unit, start, end, "range")]
+
+
+def test_drawn_repeat_share_counts_requests_seen_before():
+    one_window = [(0.0, 900.0)]
+    # Exponent 50: practically every draw is the first unit.
+    assert _drawn_repeat_share(_Viewer(), one_window, [3, 2], 1, 50.0) == pytest.approx(1 - 2 / 10)
+    assert _drawn_repeat_share(_Viewer(), one_window, [0, 0], 1, 1.1) == 0.0
+    many = _drawn_repeat_share(_Viewer(), [(0.0, t) for t in range(1, 50)], [20, 20], 1, 1.1)
+    assert many < _drawn_repeat_share(_Viewer(), one_window, [20, 20], 1, 1.1)
 
 
 # -- BENCHMARK.json agrees with what the command prints -------------------------

@@ -21,7 +21,7 @@ import itertools
 import threading
 from collections import defaultdict
 from contextlib import contextmanager
-from time import perf_counter
+from time import thread_time
 from typing import Callable, NamedTuple
 
 from repro.apiserver.updater import Updater
@@ -91,11 +91,11 @@ class Tracer:
         else:
             parent_id, trace_id = 0, span_id
         stack.append((span_id, trace_id))
-        start = perf_counter()
+        start = thread_time()
         try:
             return fn(*args, **kwargs)
         finally:
-            end = perf_counter()
+            end = thread_time()
             stack.pop()
             self.spans.append(Span(span_id, parent_id, trace_id, name, start, end))
 
@@ -223,10 +223,10 @@ def self_times(spans: list[Span]) -> dict[int, float]:
 
 class LayerStats(NamedTuple):
     calls: int
-    #: Wall time inside the layer, counting only its outermost spans
+    #: CPU time inside the layer, counting only its outermost spans
     #: (a layer re-entered below itself is not counted twice).
     busy_s: float
-    #: Wall time inside the layer not covered by a child span.
+    #: CPU time inside the layer not covered by a child span.
     self_s: float
 
 

@@ -1,10 +1,14 @@
 """The three pipeline workloads: seeded inputs, timed phase, checks.
 
 Every workload runs in-process against one ``StackSimulation``; no
-socket is involved.  ``build`` is the set-up (construction plus warm-up
-or history), ``measure`` the timed phase and ``verify`` the checks
-that run after it.  Checks that have to see the state a read saw run
-between ticks with the clock stopped, so they never count as timed.
+socket is involved.  ``build`` constructs the simulation; the set-up
+is that plus ``warmup`` simulated seconds of warm-up or history, which
+the runner advances.  ``measure`` is the timed phase and ``verify`` the
+checks that run after it.  Checks that have to see the state a read saw
+run between ticks with the clock stopped, so they never count as timed.
+``measure`` takes a :class:`HostSpeed` sample after each piece of timed
+work and scales the piece's times to the reference host speed; the time
+spent sampling is left out.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import random
 import threading
 import urllib.parse
 from dataclasses import dataclass, field
-from time import perf_counter
+from time import perf_counter, thread_time
 
 from benchmarks.bench_scale_jeanzay import SCALE_MIX
 from benchmarks.bench_serving import direct_lb
@@ -26,7 +30,7 @@ from repro.dashboard.grafana_json import all_dashboards
 from repro.lb.server import LoadBalancer
 from repro.thanos.sidecar import BLOCK_SECONDS
 
-from perfbench.measure import Checks, state_digest
+from perfbench.measure import Checks, HostSpeed
 from perfbench.trace import REQUEST, TICK, Tracer
 
 ADMIN = "admin"
@@ -65,10 +69,21 @@ STEP = 15.0
 WINDOW_LENGTHS = (900.0, 1800.0)
 #: Settled windows end this far apart, before ``now - freshness``.
 SETTLED_END_OFFSETS = (0.0, 300.0)
-#: Zipf exponent of the unit a viewer binds ``$job`` to.
+#: Zipf exponent of the unit a viewer binds ``$job`` to.  Neither this
+#: nor the four windows is taken from a measured Grafana query log; both
+#: are assumptions.  (Web proxy traces fit Zipf exponents of 0.64 to
+#: 0.83, Breslau et al., INFOCOM 1999.)  The report prints how the
+#: repeat share moves with the exponent and the number of window ends.
 ZIPF_S = 1.1
 #: Closed-loop client threads on dashboards_settled.
 SETTLED_CLIENTS = 2
+#: Dashboard loads (over all clients) per requested second.  The closed
+#: loop does a fixed number of loads: a time limit would let a faster
+#: host draw more loads, and so more repeats the memo answers cheaply.
+SETTLED_LOADS_PER_SECOND = 40
+#: The closed loop runs in this many sub-phases, with a host-speed
+#: sample between them.
+SETTLED_SUBPHASES = 40
 #: Viewers refreshing after every tick on dashboards_live.
 LIVE_VIEWERS = 2
 #: Timed scrape ticks per requested second on dashboards_live.
@@ -79,7 +94,13 @@ LIVE_TICKS_PER_SECOND = 3.0
 class Phase:
     """What one timed phase measured."""
 
+    #: Seconds of timed work at reference host speed (every time of a
+    #: phase is; host-speed sampling is left out).
     timed_s: float = 0.0
+    #: Wall seconds of the same work as measured.
+    raw_s: float = 0.0
+    #: CPU seconds (as measured) the threads doing the timed work used.
+    cpu_s: float = 0.0
     sim_seconds: float = 0.0
     threads: int = 1
     #: Latency of each operation: a rule interval on ingest_jz5, one
@@ -91,6 +112,15 @@ class Phase:
     repeats: int = 0
     counters: dict[str, float] = field(default_factory=dict)
     props: dict[str, object] = field(default_factory=dict)
+
+    @property
+    def host_factor(self) -> float:
+        """Reference over measured host speed over the whole phase."""
+        return self.timed_s / self.raw_s if self.raw_s else 1.0
+
+    def add_piece(self, raw_s: float, factor: float) -> None:
+        self.raw_s += raw_s
+        self.timed_s += raw_s * factor
 
 
 # -- shared pieces ----------------------------------------------------------
@@ -149,30 +179,32 @@ class Ingest:
     """The write path: scrapes, rules and the updater, no read traffic."""
 
     name = "ingest_jz5"
+    warmup = INGEST_WARMUP
 
     def build(self, seed: int) -> StackSimulation:
-        sim = StackSimulation(
+        return StackSimulation(
             jean_zay_topology(scale=INGEST_SCALE),
             SimulationConfig(seed=seed, cluster_name=CLUSTER),
             workload=SCALE_MIX,
         )
-        sim.run(INGEST_WARMUP)
-        return sim
 
-    def measure(self, sim, seed: int, seconds: float, tracer: Tracer, checks: Checks) -> Phase:
+    def measure(self, sim, seed: int, seconds: float, tracer: Tracer, checks: Checks, host: HostSpeed) -> Phase:
         # One operation is one rule interval (two scrape ticks and one
         # rule evaluation), so operations cost alike and the median
         # does not flip between tick kinds.
         period = sim.config.rule_interval
         phase = Phase()
         watch = _IngestWatch(sim)
-        started = perf_counter()
         for _ in range(max(1, round(seconds * INGEST_OPS_PER_SECOND))):
-            t0 = perf_counter()
+            t0, c0 = perf_counter(), thread_time()
             tracer.call(TICK, sim.run, period)
-            phase.op_latencies.append(perf_counter() - t0)
+            phase.cpu_s += thread_time() - c0
+            latency = perf_counter() - t0
             watch.after_tick(checks)
-        phase.timed_s = perf_counter() - started
+            host.sample()
+            factor = host.recent_factor()
+            phase.add_piece(latency, factor)
+            phase.op_latencies.append(latency * factor)
         phase.sim_seconds = period * len(phase.op_latencies)
         watch.finish(checks, phase)
         return phase
@@ -256,6 +288,12 @@ class _Reader:
         self.seen: dict[Read, dict[bytes, int]] = {}
         self.failed: list[str] = []
 
+    def scale_since(self, loads: int, requests: int, factor: float) -> None:
+        """Scale the times recorded after the first ``loads`` loads and
+        ``requests`` requests by ``factor``."""
+        self.loads[loads:] = [t * factor for t in self.loads[loads:]]
+        self.latencies[requests:] = [t * factor for t in self.latencies[requests:]]
+
     def send(self, read: Read) -> None:
         app = self.sim.api_server.app if read.kind == "api" else self.sim.lb.app
         headers = {USER_HEADER: read.user}
@@ -269,12 +307,10 @@ class _Reader:
         bodies = self.seen.setdefault(read, {})
         bodies[response.body] = bodies.get(response.body, 0) + 1
 
-    def load(self, reads: list[Read], deadline: float = math.inf) -> None:
-        """Send one dashboard load; it counts only if it completes."""
+    def load(self, reads: list[Read]) -> None:
+        """Send one dashboard load."""
         t0 = perf_counter()
         for read in reads:
-            if perf_counter() >= deadline:
-                return
             self.send(read)
         self.loads.append(perf_counter() - t0)
 
@@ -326,8 +362,10 @@ def _frontend_delta(before: dict[str, float], after: dict[str, float], phase: Ph
 class _Dashboards:
     """The 1 % slice with the query frontend, shared by both readers."""
 
+    warmup = DASH_HISTORY
+
     def build(self, seed: int) -> StackSimulation:
-        sim = StackSimulation(
+        return StackSimulation(
             jean_zay_topology(scale=DASH_SCALE),
             SimulationConfig(
                 seed=DASH_DEPLOYMENT_SEED,
@@ -338,8 +376,6 @@ class _Dashboards:
             ),
             workload=SCALE_MIX,
         )
-        sim.run(DASH_HISTORY)
-        return sim
 
     def last_end(self, sim) -> float:
         """End of the latest window a viewer of this workload reads."""
@@ -369,6 +405,24 @@ class _Dashboards:
         )
 
 
+def _drawn_repeat_share(viewer: Viewer, windows, loads_per_client: list[int], seed: int, zipf_s: float) -> float:
+    """Repeat share of the requests the settled clients would send with
+    Zipf exponent ``zipf_s`` over ``windows`` (no request is sent)."""
+    weights = [1.0 / (rank + 1) ** zipf_s for rank in range(len(viewer.units))]
+    drawn: dict[tuple, int] = {}
+    for i, loads in enumerate(loads_per_client):
+        rng = random.Random(seed * 1000 + i)
+        for _ in range(loads):
+            pair = (rng.choices(viewer.units, weights=weights)[0], rng.choice(windows))
+            drawn[pair] = drawn.get(pair, 0) + 1
+    total, distinct = 0, set()
+    for (unit, window), count in drawn.items():
+        reads = viewer.load(unit, *window)
+        total += count * len(reads)
+        distinct.update(reads)
+    return 1.0 - len(distinct) / total if total else 0.0
+
+
 class Settled(_Dashboards):
     """Closed-loop viewers over windows the frontend may cache."""
 
@@ -378,30 +432,47 @@ class Settled(_Dashboards):
         # Strictly before ``now - freshness``: the whole grid is settled.
         return math.floor((sim.now - sim.config.frontend_freshness) / STEP) * STEP - STEP
 
-    def measure(self, sim, seed: int, seconds: float, tracer: Tracer, checks: Checks) -> Phase:
-        viewer = Viewer(sim)
+    def windows(self, sim, end_offsets=SETTLED_END_OFFSETS) -> list[tuple[float, float]]:
         settled_end = self.last_end(sim)
-        windows = [
+        return [
             (end - length, end)
-            for end in (settled_end - off for off in SETTLED_END_OFFSETS)
+            for end in (settled_end - off for off in end_offsets)
             for length in WINDOW_LENGTHS
         ]
+
+    def measure(self, sim, seed: int, seconds: float, tracer: Tracer, checks: Checks, host: HostSpeed) -> Phase:
+        viewer = Viewer(sim)
+        windows = self.windows(sim)
         readers = [_Reader(sim, tracer) for _ in range(SETTLED_CLIENTS)]
+        rngs = [random.Random(seed * 1000 + i) for i in range(SETTLED_CLIENTS)]
+        cpu = [0.0] * SETTLED_CLIENTS
         before = _frontend_counters(sim)
-        deadline = perf_counter() + seconds
+        phase = Phase(threads=SETTLED_CLIENTS)
 
-        def client(i: int) -> None:
-            rng = random.Random(seed * 1000 + i)
-            while perf_counter() < deadline:
-                readers[i].load(viewer.load(viewer.pick_unit(rng), *rng.choice(windows)), deadline)
+        def client(i: int, loads: int) -> None:
+            c0 = thread_time()
+            rng = rngs[i]
+            for _ in range(loads):
+                readers[i].load(viewer.load(viewer.pick_unit(rng), *rng.choice(windows)))
+            cpu[i] += thread_time() - c0
 
-        threads = [threading.Thread(target=client, args=(i,)) for i in range(SETTLED_CLIENTS)]
-        started = perf_counter()
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        phase = Phase(timed_s=perf_counter() - started, threads=SETTLED_CLIENTS)
+        per_client = max(1, round(seconds * SETTLED_LOADS_PER_SECOND / (SETTLED_CLIENTS * SETTLED_SUBPHASES)))
+        for _ in range(SETTLED_SUBPHASES):
+            marks = [(len(r.loads), len(r.latencies)) for r in readers]
+            started = perf_counter()
+            threads = [threading.Thread(target=client, args=(i, per_client)) for i in range(SETTLED_CLIENTS)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+            elapsed = perf_counter() - started
+            host.sample()
+            factor = host.recent_factor()
+            phase.add_piece(elapsed, factor)
+            for reader, (loads, requests) in zip(readers, marks):
+                reader.scale_since(loads, requests, factor)
+        phase.cpu_s = sum(cpu)
+        phase.props["loads_per_client"] = [len(r.loads) for r in readers]
         _frontend_delta(before, _frontend_counters(sim), phase)
         _read_phase(phase, readers, checks)
         seen: dict[Read, dict[bytes, int]] = {}
@@ -414,6 +485,16 @@ class Settled(_Dashboards):
         phase.repeats = _repeats(seen)
         with tracer.paused():
             _check_reads(sim, direct_lb(sim), seen, checks)
+        # How the assumed popularity and window mix set the reuse: the
+        # same clients and loads, other exponents and window ends.
+        loads = phase.props["loads_per_client"]
+        phase.props["repeat_share_by_zipf_s"] = {
+            z: round(_drawn_repeat_share(viewer, windows, loads, seed, z), 3) for z in (0.7, 1.1, 1.5)
+        }
+        phase.props["repeat_share_by_window_ends"] = {
+            n: round(_drawn_repeat_share(viewer, self.windows(sim, range(0, 300 * n, 300)), loads, seed, ZIPF_S), 3)
+            for n in (1, 2, 8)
+        }
         return phase
 
 
@@ -422,7 +503,7 @@ class Live(_Dashboards):
 
     name = "dashboards_live"
 
-    def measure(self, sim, seed: int, seconds: float, tracer: Tracer, checks: Checks) -> Phase:
+    def measure(self, sim, seed: int, seconds: float, tracer: Tracer, checks: Checks, host: HostSpeed) -> Phase:
         viewer = Viewer(sim)
         rng = random.Random(seed * 1000)
         direct = direct_lb(sim)
@@ -431,18 +512,24 @@ class Live(_Dashboards):
         before = _frontend_counters(sim)
         phase = Phase()
         for _ in range(max(1, round(seconds * LIVE_TICKS_PER_SECOND))):
-            t0 = perf_counter()
+            loads, requests = len(reader.loads), len(reader.latencies)
+            t0, c0 = perf_counter(), thread_time()
             tracer.call(TICK, sim.run, sim.config.scrape_interval)
             for _ in range(LIVE_VIEWERS):
                 end = sim.now
                 reader.load(viewer.load(viewer.pick_unit(rng), end - rng.choice(WINDOW_LENGTHS), end))
-            phase.timed_s += perf_counter() - t0
+            phase.cpu_s += thread_time() - c0
+            elapsed = perf_counter() - t0
             phase.sim_seconds += sim.config.scrape_interval
             # Clock stopped: the direct path must answer the same at
             # the state these reads saw, before the next tick.
             with tracer.paused():
                 watch.after_tick(checks)
                 _check_reads(sim, direct, reader.seen, checks)
+                host.sample()
+            factor = host.recent_factor()
+            phase.add_piece(elapsed, factor)
+            reader.scale_since(loads, requests, factor)
             phase.repeats += _repeats(reader.seen)
             reader.seen.clear()
         watch.finish(checks, phase)
