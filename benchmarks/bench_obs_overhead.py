@@ -30,6 +30,7 @@ from repro.obs.query import QueryStats, activate_stats, deactivate_stats
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.storage import TSDB
+from tests.oracles.promql_per_step import PerStepEngine
 
 #: Mean extra cost the middleware may add per request.  Generous
 #: against CI-runner noise — the observed overhead is ~10–30 µs.
@@ -121,14 +122,12 @@ def build_query_engine() -> PromQLEngine:
     return PromQLEngine(db)
 
 
-def _min_eval_seconds(engine: PromQLEngine, strategy: str) -> float:
+def _min_eval_seconds(engine: PromQLEngine) -> float:
     """Best-of-N wall time for one realistic dashboard range eval."""
     end = (BENCH_SAMPLES - 1) * BENCH_SCRAPE_STEP
 
     def run() -> None:
-        engine.query_range(
-            "sum by (uuid) (rate(power[120s]))", 120.0, end, 60.0, strategy=strategy
-        )
+        engine.query_range("sum by (uuid) (rate(power[120s]))", 120.0, end, 60.0)
 
     run()  # warm parser caches / lazy imports outside the timed runs
     best = math.inf
@@ -158,20 +157,22 @@ def _hooks_bypassed():
 
 
 def test_query_hook_overhead_disabled_under_bound():
-    """Disabled hooks must cost <5% of a range eval — per strategy."""
+    """Disabled hooks must cost <5% of a range eval — in the engine and
+    in the per-step oracle, whose selector paths call the same hooks."""
     engine = build_query_engine()
+    evaluators = {"columnar": engine, "per_step": PerStepEngine(engine.storage)}
     PROFILER.disable()
     PROFILER.reset()
     report: dict[str, dict[str, float]] = {}
     try:
-        for strategy in ("columnar", "per_step"):
+        for strategy, evaluator in evaluators.items():
             with _hooks_bypassed():
-                bypassed = _min_eval_seconds(engine, strategy)
-            disabled = _min_eval_seconds(engine, strategy)
+                bypassed = _min_eval_seconds(evaluator)
+            disabled = _min_eval_seconds(evaluator)
             PROFILER.enable()
-            token = activate_stats(QueryStats(query="bench", strategy=strategy))
+            token = activate_stats(QueryStats(query="bench"))
             try:
-                enabled = _min_eval_seconds(engine, strategy)
+                enabled = _min_eval_seconds(evaluator)
             finally:
                 deactivate_stats(token)
                 PROFILER.disable()

@@ -1,21 +1,41 @@
-"""PromQL engine micro-benchmarks: query cost vs series count.
+"""PromQL engine micro-benchmarks and the evaluator guard.
 
 Not a paper table, but the foundation every other latency number
 stands on: how instant selectors, rate() and aggregations scale with
 the number of matching series — the quantity the Jean-Zay deployment
 multiplies by 1400.
+
+The guards compare the engine with the per-step oracle
+(``tests/oracles/promql_per_step.py``), the direct AST walk the engine
+replaced: a range query must be far faster (columnar speedup), and the
+engine's one-step path must be no slower than the walk on the instant
+traffic the stack sends — one pass of the shipped recording and
+alerting rules at 5 % Jean-Zay scale, and the 11 instant Grafana
+panels.  Instant guards time paired rounds (engine and oracle back to
+back, order alternating) and bound the median of the per-round ratios;
+the numbers land in ``BENCH_promql.json``.
 """
 
 from __future__ import annotations
 
+import json
+import platform
+import statistics
 import time
 
 import numpy as np
 import pytest
 
+from benchmarks.bench_scale_jeanzay import SCALE_MIX
+from repro.cluster import StackSimulation, jean_zay_topology
+from repro.cluster.simulation import SimulationConfig
+from repro.dashboard.grafana_json import all_dashboards
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.storage import TSDB
+from tests.oracles.promql_per_step import PerStepEngine, assert_instant_identical
+
+ARTIFACT_PATH = "BENCH_promql.json"
 
 SAMPLES_PER_SERIES = 120  # 30 min at 15 s
 
@@ -84,12 +104,11 @@ def test_group_left_join_scaling(benchmark):
 
 # -- columnar vs per-step range evaluation ------------------------------
 #
-# The tentpole claim: a Grafana-shaped range query (rate + aggregation
-# + group_left join) over a long window must not cost one full instant
-# evaluation per step.  The columnar evaluator resolves selectors once
-# and walks the step axis with ndarray ops; the per-step path is kept
-# as the differential reference.  The recorded ``speedup`` lands in the
-# bench JSON via extra_info.
+# A Grafana-shaped range query (rate + aggregation + group_left join)
+# over a long window must not cost one full instant evaluation per
+# step.  The engine resolves selectors once and walks the step axis
+# with ndarray ops; the per-step oracle is the differential reference.
+# The recorded ``speedup`` lands in the bench JSON via extra_info.
 
 RANGE_QUERY = (
     "sum by (hostname) (rate(m[4m])) "
@@ -133,12 +152,10 @@ def test_columnar_range_speedup(benchmark, nsteps):
     end = start + (nsteps - 1) * step
 
     t0 = time.perf_counter()
-    reference = engine.query_range(RANGE_QUERY, start, end, step, strategy="per_step")
+    reference = PerStepEngine(engine.storage).query_range(RANGE_QUERY, start, end, step)
     per_step_seconds = time.perf_counter() - t0
 
-    columnar = benchmark(
-        engine.query_range, RANGE_QUERY, start, end, step, strategy="columnar"
-    )
+    columnar = benchmark(engine.query_range, RANGE_QUERY, start, end, step)
 
     # Differential check on the benchmarked workload itself.
     assert set(columnar.series) == set(reference.series) and columnar.series
@@ -154,9 +171,119 @@ def test_columnar_range_speedup(benchmark, nsteps):
     benchmark.extra_info["speedup"] = speedup
     print(f"\n[promql-columnar] {nsteps} steps: per-step {per_step_seconds:.3f}s, "
           f"columnar {columnar_seconds:.3f}s -> {speedup:.1f}x")
-    # Perf-regression guard: the columnar path must never lose to the
-    # reference it exists to replace...
+    # Perf-regression guard: the engine must never lose to the
+    # reference it replaced...
     assert columnar_seconds < per_step_seconds
     # ...and at dashboard scale the win must stay an order of magnitude.
     if nsteps >= 10_000:
         assert speedup > 10.0
+
+
+# -- single-step guard: instant traffic vs the per-step oracle ------------
+
+#: Paired rounds per guard; the median ratio is what is bounded.
+GUARD_ROUNDS = 11
+#: Bound on median(engine seconds / oracle seconds) per round.
+MAX_INSTANT_RATIO = 1.0
+JZ_SCALE = 0.05
+JZ_WARMUP = 600.0
+
+
+@pytest.fixture(scope="module")
+def jz5():
+    """The seeded 5 % Jean-Zay deployment after a rule-window warm-up."""
+    sim = StackSimulation(
+        jean_zay_topology(scale=JZ_SCALE),
+        SimulationConfig(seed=1, cluster_name="jean-zay"),
+        workload=SCALE_MIX,
+    )
+    sim.run(JZ_WARMUP)
+    return sim
+
+
+def _pass_seconds(engine: PromQLEngine, exprs: list, at: float) -> float:
+    started = time.perf_counter()
+    for expr in exprs:
+        engine.query(expr, at)
+    return time.perf_counter() - started
+
+
+def paired_rounds(sim, exprs: list) -> dict[str, float]:
+    """Time one pass of ``exprs`` through the engine and the oracle in
+    back-to-back pairs (order alternating, so drift hits both alike)."""
+    engine = PromQLEngine(sim.hot_tsdb, lookback=sim.lookback)
+    oracle = PerStepEngine(sim.hot_tsdb, lookback=sim.lookback)
+    at = sim.now
+    for expr in exprs:  # parse once, warm caches, and check identity
+        assert_instant_identical(engine, expr, at)
+    engine_s: list[float] = []
+    oracle_s: list[float] = []
+    for r in range(GUARD_ROUNDS):
+        if r % 2:
+            oracle_s.append(_pass_seconds(oracle, exprs, at))
+            engine_s.append(_pass_seconds(engine, exprs, at))
+        else:
+            engine_s.append(_pass_seconds(engine, exprs, at))
+            oracle_s.append(_pass_seconds(oracle, exprs, at))
+    ratios = [e / o for e, o in zip(engine_s, oracle_s)]
+    return {
+        "expressions": len(exprs),
+        "rounds": GUARD_ROUNDS,
+        "engine_ms_median": statistics.median(engine_s) * 1e3,
+        "oracle_ms_median": statistics.median(oracle_s) * 1e3,
+        "ratio_median": statistics.median(ratios),
+        "ratio_max": max(ratios),
+    }
+
+
+def _record(section: str, payload: dict) -> None:
+    try:
+        with open(ARTIFACT_PATH, encoding="utf-8") as fh:
+            artifact = json.load(fh)
+    except (OSError, ValueError):
+        artifact = {}
+    artifact["config"] = {
+        "scale": JZ_SCALE,
+        "warmup_s": JZ_WARMUP,
+        "rounds": GUARD_ROUNDS,
+        "max_ratio": MAX_INSTANT_RATIO,
+        "host": f"{platform.machine()} {platform.python_implementation()} {platform.python_version()}",
+    }
+    artifact[section] = payload
+    with open(ARTIFACT_PATH, "w", encoding="utf-8") as fh:
+        json.dump(artifact, fh, indent=2, sort_keys=True)
+
+
+def test_rule_pass_not_slower_than_oracle(jz5):
+    """One instant pass of every shipped recording and alerting rule."""
+    evaluator = jz5.rule_evaluator
+    exprs = [rule.ast() for group in evaluator.groups for rule in group.rules]
+    exprs += [rule.ast() for group in evaluator.alert_groups for rule in group.rules]
+    report = paired_rounds(jz5, exprs)
+    _record("rule_pass", report)
+    print(f"\n[promql-instant] rules: engine {report['engine_ms_median']:.1f} ms, "
+          f"oracle {report['oracle_ms_median']:.1f} ms, ratio {report['ratio_median']:.2f}")
+    assert report["ratio_median"] <= MAX_INSTANT_RATIO, report
+
+
+def test_instant_panels_not_slower_than_oracle(jz5):
+    """The 11 instant Grafana panels, ``$job`` bound to a running unit."""
+    panels = [
+        target["expr"]
+        for dashboard in all_dashboards().values()
+        for panel in dashboard["panels"]
+        for target in panel["targets"]
+        if target.get("instant") and "expr" in target
+    ]
+    assert len(panels) == 11
+    units = sorted(jz5.hot_tsdb.label_values("uuid"))
+    uuid = units[len(units) // 2]
+    exprs = [p.replace("$job", uuid) for p in panels]
+    report = paired_rounds(jz5, exprs)
+    # The 10 panels without a subquery, on their own.
+    report["trivial"] = paired_rounds(jz5, [e for e in exprs if "[24h:5m]" not in e])
+    _record("instant_panels", report)
+    print(f"\n[promql-instant] panels: engine {report['engine_ms_median']:.2f} ms, "
+          f"oracle {report['oracle_ms_median']:.2f} ms, ratio {report['ratio_median']:.2f}; "
+          f"trivial ratio {report['trivial']['ratio_median']:.2f}")
+    assert report["ratio_median"] <= MAX_INSTANT_RATIO, report

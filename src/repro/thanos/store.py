@@ -294,8 +294,7 @@ class ObjectStore:
 
     def select(self, matchers):
         """Batched-select contract (raw resolution), so a PromQL engine
-        — per-step or columnar — can point at the store gateway
-        directly; selection rides the raw TSDB's selector memo (and,
+        can point at the store gateway directly; selection rides the raw TSDB's selector memo (and,
         in lazy mode, the chunk index + merge memo)."""
         return self.select_at("raw", matchers)
 

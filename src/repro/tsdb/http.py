@@ -8,11 +8,8 @@ documented response envelope (``{"status":"success","data":{...}}``):
 * ``GET/POST /api/v1/query_range`` — range query (``query``,
   ``start``, ``end``, ``step``),
 
-  Both accept an optional ``strategy`` parameter (``columnar`` /
-  ``per_step``) selecting the evaluator — an escape hatch for
-  debugging; an unknown value is a 400.  ``stats=all`` attaches the
-  per-query statistics (phase timings, series/samples counts) to the
-  response, as in Prometheus.
+  ``stats=all`` attaches the per-query statistics (phase timings,
+  series/samples counts) to the response, as in Prometheus.
 
 * ``GET /api/v1/series`` — series metadata for ``match[]`` selectors,
 * ``GET /api/v1/label/{name}/values``,
@@ -169,17 +166,16 @@ class PromAPI:
         families = []
         seconds = MetricFamily(
             "ceems_promql_eval_seconds_total",
-            help="Wall seconds spent evaluating PromQL, per strategy.",
+            help="Wall seconds spent evaluating PromQL.",
             type="counter",
         )
+        seconds.add(self.engine.eval_seconds)
         queries = MetricFamily(
             "ceems_promql_eval_queries_total",
-            help="PromQL evaluations, per strategy.",
+            help="PromQL evaluations.",
             type="counter",
         )
-        for strategy, stats in self.engine.strategy_stats().items():
-            seconds.add(stats["seconds"], strategy=strategy)
-            queries.add(stats["queries"], strategy=strategy)
+        queries.add(float(self.engine.eval_queries))
         families.extend([seconds, queries])
 
         # Storage selector memo.  The hot TSDB and the Thanos fan-out
@@ -279,7 +275,7 @@ class PromAPI:
         return value
 
     # -- query introspection pipeline ---------------------------------------
-    def _introspected(self, request: Request, query: str, strategy: str, eval_fn, render_fn) -> Response:
+    def _introspected(self, request: Request, query: str, eval_fn, render_fn) -> Response:
         """Parse, admit, evaluate and render one query with accounting.
 
         ``eval_fn(ast)`` runs the engine; ``render_fn(result)`` builds
@@ -287,7 +283,7 @@ class PromAPI:
         pipeline; the tracker gates the eval phase only (parse/render
         are cheap and must not hold a concurrency slot).
         """
-        stats = QueryStats(query=query, strategy=strategy)
+        stats = QueryStats(query=query)
         ctx = current_trace()
         trace_id = ctx.trace_id if ctx is not None else ""
         token = activate_stats(stats)
@@ -300,13 +296,9 @@ class PromAPI:
                 return Response.error(400, str(exc))
             fingerprint = tuple(str(sel) for sel in iter_selectors(ast))
             try:
-                with self.tracker.track(
-                    query, fingerprint=fingerprint, strategy=strategy, stats=stats
-                ) as record:
+                with self.tracker.track(query, fingerprint=fingerprint, stats=stats) as record:
                     record.trace_id = trace_id
-                    with self.app.telemetry.child_span(
-                        "promql.eval", strategy=strategy
-                    ) as span:
+                    with self.app.telemetry.child_span("promql.eval") as span:
                         with stats.phase("eval"):
                             result = eval_fn(ast)
                         if span is not None:
@@ -352,7 +344,6 @@ class PromAPI:
         if time_param is None:
             return Response.error(400, "missing time parameter (no wall clock in simulation)")
         self.queries_served += 1
-        strategy = self._param(request, "strategy") or "per_step"
 
         def render(result):
             if result.is_scalar:
@@ -374,8 +365,7 @@ class PromAPI:
         return self._introspected(
             request,
             query,
-            strategy,
-            lambda ast: self.engine.query(ast, float(time_param), strategy=strategy),
+            lambda ast: self.engine.query(ast, float(time_param)),
             render,
         )
 
@@ -396,7 +386,6 @@ class PromAPI:
             if failed is not None:
                 return failed
         self.queries_served += 1
-        strategy = self._param(request, "strategy") or "columnar"
 
         def render(result):
             return {
@@ -417,8 +406,7 @@ class PromAPI:
         return self._introspected(
             request,
             query,
-            strategy,
-            lambda ast: self.engine.query_range(ast, start, end, step, strategy=strategy),
+            lambda ast: self.engine.query_range(ast, start, end, step),
             render,
         )
 

@@ -156,6 +156,12 @@ class Matcher:
             object.__setattr__(self, "_regex", re.compile(f"^(?:{self.value})$"))
         else:
             object.__setattr__(self, "_regex", None)
+        # Matchers key the selector memos and the engine's per-query
+        # memos; hashing the Enum field on every lookup is not free.
+        object.__setattr__(self, "_hash", hash((self.name, self.op.value, self.value)))
+
+    def __hash__(self) -> int:
+        return self._hash  # type: ignore[attr-defined]
 
     def matches(self, labels: Labels) -> bool:
         actual = labels.get(self.name, "")

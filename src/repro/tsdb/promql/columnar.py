@@ -1,20 +1,24 @@
-"""Columnar (vectorized) PromQL range evaluation.
+"""Columnar (vectorized) PromQL evaluation — the engine's one evaluator.
 
-The per-step evaluator in :mod:`repro.tsdb.promql.engine` re-walks the
-AST and re-runs ``storage.select`` once per step timestamp: a 90-day
-query at 1 h resolution is ~2160 full instant evaluations, each doing
-fresh index intersections and per-series bisects.  This module
-evaluates the whole range in one pass instead:
+Instant queries, range queries, recording rules and alerting rules all
+evaluate here; an instant query is a range query with one step.  The
+whole step grid is evaluated in one pass:
 
 * every selector is resolved **once per query** (through the storage
-  selector memo) and each matched series is materialised once as
-  cached ndarrays (:meth:`Series.arrays`);
+  selector memo) and each matched series is read once as cached
+  ndarrays (:meth:`Series.arrays`);
 * instant-vector lookback is computed for **all step timestamps at
-  once** with ``np.searchsorted``;
+  once** with ``np.searchsorted`` (one bisect per series at one step);
 * range functions evaluate as vectorized window kernels
-  (:data:`repro.tsdb.promql.functions.WINDOW_FUNCTIONS`);
+  (:data:`repro.tsdb.promql.functions.WINDOW_FUNCTIONS`), called
+  **once per matrix selector or subquery**: each series' touched
+  samples are concatenated and its window bounds offset into the
+  concatenation, which is exact because every kernel treats each
+  ``[lo, hi)`` window independently;
 * binary operators, aggregations and element functions execute along
-  the step axis as ``(n_series × n_steps)`` matrix operations.
+  the step axis as ``(n_series × n_steps)`` matrix operations; vector
+  matching and grouping gather rows by index arrays instead of looping
+  over rows, and derived label sets are memoised per source labels.
 
 Values flow through evaluation as one of three shapes:
 
@@ -27,26 +31,30 @@ Values flow through evaluation as one of three shapes:
   present, may be NaN-valued).
 * ``str`` — a string literal.
 
-Bit-identity with the per-step reference evaluator is a hard contract
-(the differential harness in ``tests/test_promql_reference.py``
-asserts it): every elementwise formula reproduces the scalar code's
-operation order, aggregation accumulates rows in the same sequential
-order the reference accumulates vector elements (absent entries
-contribute an exact ``+0.0``), and anything that cannot be reproduced
-vectorially (counter windows containing resets, most ``*_over_time``
-reducers, ``^``/``%`` edge semantics, element functions that may
-raise) falls back to the scalar implementation per window/element.
+Every result is bit-identical to evaluating the expression one step at
+a time (the AST walk kept as a differential-testing oracle under
+``tests/oracles/``): elementwise formulas reproduce the scalar code's
+operation order, and sum/avg/stddev accumulate group members in row
+order starting from ``0.0`` (``np.add.at`` is unbuffered and applies
+rows sequentially; absent entries contribute an exact ``+0.0``).
+Anything that cannot be reproduced vectorially (counter windows
+containing resets, most ``*_over_time`` reducers, ``^``/``%`` edge
+semantics, element functions that may raise) falls back to the scalar
+implementation per window/element.
 
 Known, deliberate divergence: ``sort()`` inside a *range* query is an
 ordering no-op (range results are keyed by labels, not ordered), so an
 aggregation nested *outside* a ``sort()``/``topk()`` may accumulate in
-a different element order than the per-step path.  Prometheus itself
+a different element order than a step-by-step walk.  Prometheus itself
 defines sort order only for instant-query presentation.
 """
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,13 +73,8 @@ from repro.tsdb.promql.ast import (
     StringLiteral,
     Subquery,
     UnaryOp,
+    VectorMatching,
     VectorSelector,
-)
-from repro.tsdb.promql.engine import (
-    PromQLEngine,
-    VectorElement,
-    _compile_anchored,
-    _Vector,
 )
 from repro.tsdb.promql.functions import (
     ELEMENT_FUNCTIONS,
@@ -83,15 +86,111 @@ from repro.tsdb.promql.functions import (
 
 _COMPARISONS = ("==", "!=", ">", "<", ">=", "<=")
 
-#: Process-wide columnar-evaluator counters (self-telemetry): queries
-#: through each public entry point plus per-query memo hits.  Module
-#: level because evaluator instances are per-query throwaways.
+#: Process-wide evaluator counters (self-telemetry): queries through
+#: each public entry point plus per-query memo hits.  Module level
+#: because evaluator instances are per-query throwaways.
 COLUMNAR_STATS = {
     "range_queries": 0,
     "instant_queries": 0,
     "selector_memo_hits": 0,
     "window_memo_hits": 0,
 }
+
+
+@lru_cache(maxsize=256)
+def compile_anchored(regex: str) -> re.Pattern[str]:
+    """Compiled, fully-anchored regex for label_replace (cached —
+    mirrors :class:`Matcher`'s precompiled ``_regex``)."""
+    return re.compile(f"^(?:{regex})$")
+
+
+def apply_op(op: str, a: float, b: float) -> float:
+    """One binary operator on two Python floats (PromQL semantics)."""
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    if op == "/":
+        return a / b if b != 0 else (math.nan if a == 0 else math.copysign(math.inf, a) * math.copysign(1, b))
+    if op == "%":
+        return math.fmod(a, b) if b != 0 else math.nan
+    if op == "^":
+        return a**b
+    if op == "==":
+        return float(a == b)
+    if op == "!=":
+        return float(a != b)
+    if op == ">":
+        return float(a > b)
+    if op == "<":
+        return float(a < b)
+    if op == ">=":
+        return float(a >= b)
+    if op == "<=":
+        return float(a <= b)
+    raise QueryError(f"unknown operator {op!r}")
+
+
+# -- derived label sets --------------------------------------------------
+#
+# Rules re-derive the same label sets every interval (names dropped,
+# grouping keys, matching signatures) from the same long-lived series
+# labels.  A derivation is a pure function of (labels, spec), so it is
+# memoised; the memo is cleared wholesale when it reaches its bound,
+# which keeps memory flat under series churn.
+
+_DERIVED: dict[tuple[Labels, tuple], Labels] = {}
+_DERIVED_MAX = 1 << 14
+
+_WITHOUT_NAME = ("drop", (METRIC_NAME_LABEL,))
+_EMPTY_LABELS = Labels()
+
+
+def derive(labels: Labels, spec: tuple) -> Labels:
+    """``labels`` reduced by ``spec`` — ``("drop", names)`` or
+    ``("keep", names)``, or ``("empty", ())``."""
+    key = (labels, spec)
+    out = _DERIVED.get(key)
+    if out is None:
+        kind, names = spec
+        if kind == "drop":
+            out = labels.drop(*names)
+        elif kind == "keep":
+            out = labels.keep(names)
+        else:
+            out = _EMPTY_LABELS
+        if len(_DERIVED) >= _DERIVED_MAX:
+            _DERIVED.clear()
+        _DERIVED[key] = out
+    return out
+
+
+def without_name(labels: Labels) -> Labels:
+    return derive(labels, _WITHOUT_NAME)
+
+
+def signature_spec(matching: VectorMatching | None) -> tuple:
+    """Derivation spec of a binary operator's matching signature."""
+    if matching is None:
+        return _WITHOUT_NAME
+    if matching.on:
+        return ("keep", tuple(matching.labels))
+    return ("drop", (*matching.labels, METRIC_NAME_LABEL))
+
+
+def grouping_spec(node: Aggregation) -> tuple:
+    """Derivation spec of an aggregation's group key."""
+    if node.without:
+        return ("drop", (*node.grouping, METRIC_NAME_LABEL))
+    if node.grouping:
+        return ("keep", tuple(node.grouping))
+    return ("empty", ())
+
+
+def signature(labels: Labels, matching: VectorMatching | None) -> Labels:
+    return derive(labels, signature_spec(matching))
 
 
 def _pruned_arrays(series, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -124,40 +223,86 @@ class _Matrix:
         return len(self.labels)
 
 
-def eval_range_columnar(
-    engine: PromQLEngine, ast: Expr, steps: np.ndarray
-) -> dict[Labels, tuple[np.ndarray, np.ndarray]]:
+@dataclass
+class _Windows:
+    """Range-vector windows of every row, flattened row-major.
+
+    ``ts``/``vs`` concatenate each row's touched samples; window
+    ``r * T + j`` (row ``r``, step ``j``) is ``[los[k], his[k])`` into
+    them with time bounds ``[starts[j], ends[j]]``.
+    """
+
+    labels: list[Labels]
+    ts: np.ndarray
+    vs: np.ndarray
+    los: np.ndarray  # (R*T,) int
+    his: np.ndarray  # (R*T,) int
+    starts: np.ndarray  # (T,)
+    ends: np.ndarray  # (T,)
+
+    @property
+    def nrows(self) -> int:
+        return len(self.labels)
+
+
+def _empty(T: int) -> _Matrix:
+    return _Matrix([], np.zeros((0, T)), np.zeros((0, T), dtype=bool))
+
+
+def _group_sum(gids: np.ndarray, G: int, x: np.ndarray) -> np.ndarray:
+    """Per-group column sums of the rows of ``x``, ``(G, T)``.
+
+    Each group accumulates its rows in row order starting from ``0.0``
+    — the left-to-right sum that defines PromQL's sum — because both
+    ``np.add.at`` (unbuffered) and weighted ``np.bincount`` add one row
+    at a time.  bincount is the cheaper call for a single column.
+    """
+    if x.shape[1] == 1:
+        return np.bincount(gids, weights=x[:, 0], minlength=G).reshape(G, 1)
+    acc = np.zeros((G, x.shape[1]))
+    np.add.at(acc, gids, x)
+    return acc
+
+
+def _compact(labels: list[Labels], values: np.ndarray, present: np.ndarray) -> _Matrix:
+    """A filter's result without the rows it removed at every step."""
+    live = present.any(axis=1)
+    if live.all():
+        return _Matrix(labels, values, present)
+    return _Matrix([l for l, keep in zip(labels, live.tolist()) if keep], values[live], present[live])
+
+
+def eval_range_columnar(engine, ast: Expr, steps: np.ndarray) -> dict[Labels, tuple[np.ndarray, np.ndarray]]:
     """Evaluate ``ast`` at every step; returns RangeResult.series data."""
     COLUMNAR_STATS["range_queries"] += 1
     ev = _ColumnarEval(engine, steps)
     return ev.materialize(ev.eval(ast))
 
 
-def eval_instant_columnar(engine: PromQLEngine, ast: Expr, at: float):
-    """Single-step columnar evaluation returning the engine's internal
-    value types (``_Vector`` / float / str), for ``query(strategy=
-    "columnar")`` — the path rule groups use."""
+def eval_instant_columnar(engine, ast: Expr, at: float):
+    """Single-step evaluation: a list of ``(labels, value)`` pairs for a
+    vector (in row order, or value order under an outermost
+    ``sort``/``sort_desc``), a float for a scalar, a str for a string."""
     COLUMNAR_STATS["instant_queries"] += 1
-    ev = _ColumnarEval(engine, np.asarray([float(at)], dtype=np.float64))
-    value = ev.eval(ast)
+    value = _ColumnarEval(engine, np.asarray([float(at)], dtype=np.float64)).eval(ast)
     if isinstance(value, _Matrix):
-        vec = _Vector(
-            VectorElement(value.labels[i], float(value.values[i, 0]))
-            for i in range(value.nrows)
-            if value.present[i, 0]
-        )
+        if not value.labels:
+            return []
+        pairs = [
+            (labels, v)
+            for labels, v, present in zip(value.labels, value.values.ravel().tolist(), value.present.ravel().tolist())
+            if present
+        ]
         if isinstance(ast, Call) and ast.func in ("sort", "sort_desc"):
-            vec = _Vector(
-                sorted(vec, key=lambda el: el.value, reverse=(ast.func == "sort_desc"))
-            )
-        return vec
+            pairs.sort(key=lambda pair: pair[1], reverse=(ast.func == "sort_desc"))
+        return pairs
     if isinstance(value, np.ndarray):
         return float(value[0])
     return value
 
 
 class _ColumnarEval:
-    def __init__(self, engine: PromQLEngine, steps: np.ndarray) -> None:
+    def __init__(self, engine, steps: np.ndarray) -> None:
         self.engine = engine
         self.storage = engine.storage
         self.lookback = engine.lookback
@@ -166,7 +311,7 @@ class _ColumnarEval:
         # Per-query memos: identical selector / matrix-selector nodes
         # (e.g. rate(m[5m]) + increase(m[5m])) are resolved once.
         self._selector_memo: dict[Expr, _Matrix] = {}
-        self._window_memo: dict[Expr, tuple] = {}
+        self._window_memo: dict[Expr, _Windows] = {}
 
     # -- materialization -------------------------------------------------
     def materialize(self, value) -> dict[Labels, tuple[np.ndarray, np.ndarray]]:
@@ -208,11 +353,7 @@ class _ColumnarEval:
         if isinstance(node, UnaryOp):
             inner = self.eval(node.expr)
             if isinstance(inner, _Matrix):
-                return _Matrix(
-                    [l.without_name() for l in inner.labels],
-                    -inner.values,
-                    inner.present.copy(),
-                )
+                return _Matrix([without_name(l) for l in inner.labels], -inner.values, inner.present)
             return -inner
         if isinstance(node, VectorSelector):
             return self._selector(node)
@@ -237,9 +378,7 @@ class _ColumnarEval:
         value = self.eval(node)
         if isinstance(value, _Matrix):
             raise QueryError("expected a scalar")
-        if isinstance(value, str):
-            return np.full(self.T, float(value))
-        return value
+        return self._as_scalar_array(value)
 
     def _string(self, node: Expr) -> str:
         value = self.eval(node)
@@ -247,8 +386,18 @@ class _ColumnarEval:
             raise QueryError("expected a string literal")
         return value
 
+    def _as_scalar_array(self, value) -> np.ndarray:
+        if isinstance(value, str):
+            return np.full(self.T, float(value))
+        return value
+
     # -- selectors -------------------------------------------------------
     def _selector(self, node: VectorSelector) -> _Matrix:
+        """Lookback read of every matched series at every step.
+
+        Series absent at every step are left out: a row that is never
+        present contributes nothing to any operator.
+        """
         cached = self._selector_memo.get(node)
         if cached is not None:
             COLUMNAR_STATS["selector_memo_hits"] += 1
@@ -256,31 +405,33 @@ class _ColumnarEval:
         # Module-attribute call on purpose: the per-query stats hooks
         # stay swappable for the disabled-overhead bench.
         series_list = obsquery.tracked_select(self.storage, node.matchers)
-        ats = self.steps - node.offset
-        S = len(series_list)
-        values = np.full((S, self.T), np.nan)
-        present = np.zeros((S, self.T), dtype=bool)
         labels: list[Labels] = []
         if self.T == 1:
-            # Instant fast path (rule evaluation): one bisect per
-            # series beats per-series searchsorted setup.
-            at = float(ats[0])
-            for i, series in enumerate(series_list):
-                labels.append(series.labels)
-                point = series.at_or_before(at, self.lookback)
+            # One step: one bisect per series.
+            at = float(self.steps[0]) - node.offset
+            lookback = self.lookback
+            found: list[float] = []
+            for series in series_list:
+                point = series.at_or_before(at, lookback)
                 if point is not None:
-                    values[i, 0] = point[1]
-                    present[i, 0] = True
+                    labels.append(series.labels)
+                    found.append(point[1])
+            touched = n = len(found)
+            values = np.array(found, dtype=np.float64).reshape(n, 1)
+            present = np.empty((n, 1), dtype=bool)
+            present.fill(True)
         else:
             # Chunk-granular pruning: only samples in
             # [first step - lookback, last step] can be selected, and
             # pruned-out older samples can never shadow the
             # last-sample-<=-at search (they'd fail the lookback test
             # anyway), so a contiguous superset read is bit-identical.
+            ats = self.steps - node.offset
             lo_bound = float(ats[0]) - self.lookback
             hi_bound = float(ats[-1])
-            for i, series in enumerate(series_list):
-                labels.append(series.labels)
+            rows_v: list[np.ndarray] = []
+            rows_p: list[np.ndarray] = []
+            for series in series_list:
                 ts_a, vs_a = _pruned_arrays(series, lo_bound, hi_bound)
                 if not len(ts_a):
                     continue
@@ -291,21 +442,23 @@ class _ColumnarEval:
                 v_found = vs_a[safe]
                 ok &= t_found > ats - self.lookback
                 ok &= ~np.isnan(v_found)  # staleness marker
-                values[i, ok] = v_found[ok]
-                present[i] = ok
-        obsquery.record_samples(int(present.sum()))
+                if ok.any():
+                    labels.append(series.labels)
+                    rows_v.append(np.where(ok, v_found, np.nan))
+                    rows_p.append(ok)
+            if labels:
+                values, present = np.vstack(rows_v), np.vstack(rows_p)
+            else:
+                values, present = np.zeros((0, self.T)), np.zeros((0, self.T), dtype=bool)
+            touched = int(present.sum())
+        obsquery.record_samples(touched)
         mat = _Matrix(labels, values, present)
         self._selector_memo[node] = mat
         return mat
 
     # -- range-vector windows --------------------------------------------
-    def _window_data(self, node):
-        """Per-series window bounds for a matrix selector / subquery.
-
-        Returns ``(starts, ends, rows)`` where each row is
-        ``(labels, ts, vs, los, his)``: the series' (compressed) sample
-        arrays plus per-step ``[lo, hi)`` bounds into them.
-        """
+    def _window_data(self, node) -> _Windows:
+        """Every row's windows for a matrix selector / subquery."""
         cached = self._window_memo.get(node)
         if cached is not None:
             COLUMNAR_STATS["window_memo_hits"] += 1
@@ -313,54 +466,83 @@ class _ColumnarEval:
         if isinstance(node, Subquery):
             data = self._subquery_window_data(node)
         else:
-            ends = self.steps - node.selector.offset
-            starts = ends - node.range_seconds
-            rows = []
-            touched = 0
-            # Windows only ever span [first start, last end]; chunks
-            # outside that never contribute, so skip decoding them.
-            lo_bound = float(starts[0])
-            hi_bound = float(ends[-1])
-            for series in obsquery.tracked_select(self.storage, node.selector.matchers):
-                ts_a, vs_a = _pruned_arrays(series, lo_bound, hi_bound)
-                if len(vs_a):
-                    nan = np.isnan(vs_a)
-                    if nan.any():
-                        # Staleness markers delimit a series' life; range
-                        # functions never see them.  Filtering before the
-                        # window search selects the same sample set as
-                        # the reference's filter-after-slice.
-                        keep = ~nan
-                        ts_a, vs_a = ts_a[keep], vs_a[keep]
-                los = np.searchsorted(ts_a, starts, side="left")
-                his = np.searchsorted(ts_a, ends, side="right")
-                touched += int(np.sum(his - los))
-                rows.append((series.labels, ts_a, vs_a, los, his))
-            obsquery.record_samples(touched)
-            data = (starts, ends, rows)
+            data = self._matrix_window_data(node)
         self._window_memo[node] = data
         return data
 
-    def _subquery_window_data(self, node: Subquery):
+    def _matrix_window_data(self, node: MatrixSelector) -> _Windows:
+        ends = self.steps - node.selector.offset
+        starts = ends - node.range_seconds
+        T = self.T
+        # Windows only ever span [first start, last end]; chunks
+        # outside that never contribute, so skip decoding them.
+        lo_bound = float(starts[0])
+        hi_bound = float(ends[-1])
+        labels: list[Labels] = []
+        parts_t: list[np.ndarray] = []
+        parts_v: list[np.ndarray] = []
+        bounds: list[tuple[np.ndarray, np.ndarray]] = []  # T > 1: per-row bounds in its slice
+        offsets = [0]
+        for series in obsquery.tracked_select(self.storage, node.selector.matchers):
+            ts_a, vs_a = _pruned_arrays(series, lo_bound, hi_bound)
+            if T == 1:
+                lo = int(ts_a.searchsorted(lo_bound, side="left"))
+                hi = int(ts_a.searchsorted(hi_bound, side="right"))
+            else:
+                los = np.searchsorted(ts_a, starts, side="left")
+                his = np.searchsorted(ts_a, ends, side="right")
+                # Steps increase, so the touched slice is the first
+                # window's start to the last window's end.
+                lo, hi = int(los[0]), int(his[-1])
+                bounds.append((los - lo, his - lo))
+            labels.append(series.labels)
+            parts_t.append(ts_a[lo:hi])
+            parts_v.append(vs_a[lo:hi])
+            offsets.append(offsets[-1] + hi - lo)
+        if not labels:
+            empty = np.zeros(0, dtype=np.int64)
+            return _Windows([], np.zeros(0), np.zeros(0), empty, empty, starts, ends)
+        ts = np.concatenate(parts_t)
+        vs = np.concatenate(parts_v)
+        base = np.asarray(offsets, dtype=np.int64)
+        if T == 1:
+            los, his = base[:-1], base[1:]
+        else:
+            los = np.concatenate([base[r] + b[0] for r, b in enumerate(bounds)])
+            his = np.concatenate([base[r] + b[1] for r, b in enumerate(bounds)])
+        nan = np.isnan(vs)
+        if nan.any():
+            # Staleness markers delimit a series' life; range functions
+            # never see them.  Dropping them re-indexes every bound by
+            # the count of kept samples before it — the same sample set
+            # as filtering each window after slicing it.
+            keep = ~nan
+            kept_before = np.concatenate(([0], np.cumsum(keep)))
+            los, his = kept_before[los], kept_before[his]
+            ts, vs = ts[keep], vs[keep]
+        obsquery.record_samples(int(np.sum(his - los)))
+        return _Windows(labels, ts, vs, los, his, starts, ends)
+
+    def _subquery_window_data(self, node: Subquery) -> _Windows:
         """Range-vector windows from an instant sub-expression.
 
         Subquery steps live on the absolute grid ``m * step`` (exactly
         the reference's index-generated timestamps), so one inner
-        columnar evaluation over the union grid serves every window.
+        evaluation over the union grid serves every window.
         """
         ends = self.steps - node.offset
         starts = ends - node.range_seconds
         sstep = node.step_seconds
+        empty_idx = np.zeros(0, dtype=np.int64)
+        empty = _Windows([], np.zeros(0), np.zeros(0), empty_idx, empty_idx, starts, ends)
         k_lo = np.ceil(starts / sstep).astype(np.int64)
         k_hi = np.floor((ends + 1e-9) / sstep).astype(np.int64)
         # One-ULP corrections so membership exactly matches the
         # reference's `t <= end + 1e-9` loop condition.
         k_hi += ((k_hi + 1) * sstep <= ends + 1e-9).astype(np.int64)
         k_hi -= (k_hi * sstep > ends + 1e-9).astype(np.int64)
-        first_ts = k_lo * sstep
-        last_ts = k_hi * sstep
         if not len(k_lo) or k_hi.max() < k_lo.min():
-            return starts, ends, []
+            return empty
         m0 = int(k_lo.min())
         grid = np.arange(m0, int(k_hi.max()) + 1, dtype=np.int64) * sstep
         inner = _ColumnarEval(self.engine, grid).eval(node.expr)
@@ -370,20 +552,25 @@ class _ColumnarEval:
                 np.asarray(inner, dtype=np.float64).reshape(1, -1),
                 np.ones((1, len(grid)), dtype=bool),
             )
-        elif not isinstance(inner, _Matrix):
-            return starts, ends, []  # string sub-expression: no series
-        rows = []
-        for i, labels in enumerate(inner.labels):
-            pres = inner.present[i]
-            tsf = grid[pres]
-            vsf = inner.values[i][pres]
-            los = np.searchsorted(tsf, first_ts, side="left")
-            his = np.searchsorted(tsf, last_ts, side="right")
-            # NaN *values* are kept: the reference only filters
-            # staleness markers for raw matrix selectors, not for
-            # synthesised subquery windows.
-            rows.append((labels, tsf, vsf, los, his))
-        return starts, ends, rows
+        elif not isinstance(inner, _Matrix) or not inner.nrows:
+            return empty  # string sub-expression / no series
+        # Each row's series is its present grid points.  Its window
+        # bounds are prefix counts of presence at the grid positions of
+        # the window edges — searchsorted over the row's own points,
+        # without a call per row.
+        present = inner.present
+        ts = np.broadcast_to(grid, present.shape)[present]
+        vs = inner.values[present]
+        g_lo = np.searchsorted(grid, k_lo * sstep, side="left")
+        g_hi = np.searchsorted(grid, k_hi * sstep, side="right")
+        counts = np.zeros((inner.nrows, len(grid) + 1), dtype=np.int64)
+        np.cumsum(present, axis=1, out=counts[:, 1:])
+        row_base = np.concatenate(([0], np.cumsum(counts[:, -1])[:-1]))[:, None]
+        # NaN *values* are kept: only raw matrix selectors drop
+        # staleness markers, not synthesised subquery windows.
+        los = (row_base + counts[:, g_lo]).ravel()
+        his = (row_base + counts[:, g_hi]).ravel()
+        return _Windows(list(inner.labels), ts, vs, los, his, starts, ends)
 
     # -- calls -----------------------------------------------------------
     def _call(self, node: Call):
@@ -391,30 +578,30 @@ class _ColumnarEval:
         if func in RANGE_FUNCTIONS:
             if len(node.args) != 1 or not isinstance(node.args[0], (MatrixSelector, Subquery)):
                 raise QueryError(f"{func}() expects a single range-vector argument")
-            starts, ends, rows = self._window_data(node.args[0])
-            kernel = WINDOW_FUNCTIONS[func]
-            values = np.full((len(rows), self.T), np.nan)
-            labels = []
+            w = self._window_data(node.args[0])
+            R, T = w.nrows, self.T
+            if not R:
+                return _empty(T)
             with prof.profile(f"promql.kernel.{func}"):
-                for i, (lbl, tsf, vsf, los, his) in enumerate(rows):
-                    labels.append(lbl.without_name())
-                    values[i] = kernel(tsf, vsf, los, his, starts, ends)
-            # The per-step engine drops None/NaN range-function results.
-            return _Matrix(labels, values, ~np.isnan(values))
+                flat = WINDOW_FUNCTIONS[func](
+                    w.ts, w.vs, w.los, w.his, np.tile(w.starts, R), np.tile(w.ends, R)
+                )
+            values = flat.reshape(R, T)
+            # Range functions yielding no value (None/NaN) drop the element.
+            return _Matrix([without_name(l) for l in w.labels], values, ~np.isnan(values))
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
                 raise QueryError("quantile_over_time(scalar, range-vector) expected")
             q = self._scalar(node.args[0])
-            starts, ends, rows = self._window_data(node.args[1])
-            values = np.full((len(rows), self.T), np.nan)
-            present = np.zeros((len(rows), self.T), dtype=bool)
-            labels = []
-            for i, (lbl, tsf, vsf, los, his) in enumerate(rows):
-                labels.append(lbl.without_name())
-                for j in np.nonzero(his > los)[0]:
-                    values[i, j] = quantile_over_time(float(q[j]), vsf[los[j] : his[j]])
-                    present[i, j] = True  # NaN quantiles stay present
-            return _Matrix(labels, values, present)
+            w = self._window_data(node.args[1])
+            R, T = w.nrows, self.T
+            values = np.full(R * T, np.nan)
+            present = w.his > w.los  # NaN quantiles stay present
+            for k in np.flatnonzero(present):
+                values[k] = quantile_over_time(float(q[k % T]), w.vs[w.los[k] : w.his[k]])
+            return _Matrix(
+                [without_name(l) for l in w.labels], values.reshape(R, T), present.reshape(R, T)
+            )
         if func in ELEMENT_FUNCTIONS:
             return self._element_call(node)
         return self._special(node)
@@ -425,7 +612,7 @@ class _ColumnarEval:
             raise QueryError(f"{func}() needs at least one argument")
         vec = self._vector(node.args[0])
         extras = [self._scalar(arg) for arg in node.args[1:]]
-        labels = [l.without_name() for l in vec.labels]
+        labels = [without_name(l) for l in vec.labels]
         values = np.full_like(vec.values, np.nan)
         if func == "abs":
             np.copyto(values, np.abs(vec.values), where=vec.present)
@@ -436,13 +623,13 @@ class _ColumnarEval:
         else:
             # Python impls may raise (exp overflow, floor of NaN…);
             # apply them per present element so semantics — including
-            # exceptions — match the per-step engine exactly.
+            # exceptions — match the scalar definition exactly.
             impl = ELEMENT_FUNCTIONS[func]
             vals = vec.values
             for i, j in zip(*np.nonzero(vec.present)):
-                # Plain Python floats in, as the per-step engine passes.
+                # Plain Python floats in, as the scalar definition takes.
                 values[i, j] = float(impl(float(vals[i, j]), *(float(e[j]) for e in extras)))
-        return _Matrix(labels, values, vec.present.copy())
+        return _Matrix(labels, values, vec.present)
 
     # -- special forms ---------------------------------------------------
     def _special(self, node: Call):
@@ -470,14 +657,10 @@ class _ColumnarEval:
         if func == "timestamp":
             vec = self._vector(node.args[0])
             values = np.where(vec.present, self.steps, np.nan)
-            return _Matrix(
-                [l.without_name() for l in vec.labels], values, vec.present.copy()
-            )
+            return _Matrix([without_name(l) for l in vec.labels], values, vec.present)
         if func == "absent":
             vec = self._vector(node.args[0])
-            any_present = (
-                vec.present.any(axis=0) if vec.nrows else np.zeros(T, dtype=bool)
-            )
+            any_present = vec.present.any(axis=0) if vec.nrows else np.zeros(T, dtype=bool)
             labels = {}
             arg = node.args[0]
             if isinstance(arg, VectorSelector):
@@ -499,7 +682,7 @@ class _ColumnarEval:
                 raise QueryError("label_replace(v, dst, replacement, src, regex) expected")
             vec = self._vector(node.args[0])
             dst, replacement, src, regex = (self._string(a) for a in node.args[1:])
-            pattern = _compile_anchored(regex)
+            pattern = compile_anchored(regex)
             new_labels = []
             for l in vec.labels:
                 match = pattern.match(l.get(src, ""))
@@ -513,7 +696,7 @@ class _ColumnarEval:
                     new_labels.append(Labels(d))
                 else:
                     new_labels.append(l)
-            return _Matrix(new_labels, vec.values.copy(), vec.present.copy())
+            return _Matrix(new_labels, vec.values, vec.present)
         if func == "histogram_quantile":
             if len(node.args) != 2:
                 raise QueryError("histogram_quantile(scalar, vector) expected")
@@ -521,15 +704,14 @@ class _ColumnarEval:
             vec = self._vector(node.args[1])
             # Group bucket rows by series identity (labels sans name/le),
             # then run the shared bucketQuantile helper per present
-            # column — same pairs, same helper, bit-identical to the
-            # per-step path.
+            # column — same pairs in the same order at every step.
             groups: dict[Labels, list[tuple[float, int]]] = {}
             for i, l in enumerate(vec.labels):
                 try:
                     le = float(l.get("le", ""))
                 except ValueError:
                     continue
-                groups.setdefault(l.without_name().drop("le"), []).append((le, i))
+                groups.setdefault(without_name(l).drop("le"), []).append((le, i))
             out_labels: list[Labels] = []
             out_rows: list[np.ndarray] = []
             out_present: list[np.ndarray] = []
@@ -551,7 +733,7 @@ class _ColumnarEval:
                 out_rows.append(vals)
                 out_present.append(col_present)
             if not out_labels:
-                return _Matrix([], np.zeros((0, T)), np.zeros((0, T), dtype=bool))
+                return _empty(T)
             return _Matrix(out_labels, np.vstack(out_rows), np.vstack(out_present))
         if func == "label_join":
             if len(node.args) < 3:
@@ -565,7 +747,7 @@ class _ColumnarEval:
                 d = l.as_dict()
                 d[dst] = sep.join(l.get(s, "") for s in sources)
                 new_labels.append(Labels(d))
-            return _Matrix(new_labels, vec.values.copy(), vec.present.copy())
+            return _Matrix(new_labels, vec.values, vec.present)
         raise QueryError(f"unknown function {func!r}")
 
     # -- aggregations ----------------------------------------------------
@@ -573,111 +755,97 @@ class _ColumnarEval:
         vec = self._vector(node.expr)
         param = self._scalar(node.param) if node.param is not None else None
         T = self.T
-
-        def group_key(labels: Labels) -> Labels:
-            if node.without:
-                return labels.drop(*node.grouping, METRIC_NAME_LABEL)
-            if node.grouping:
-                return labels.keep(node.grouping)
-            return Labels()
-
-        groups: dict[Labels, list[int]] = {}
-        for i, labels in enumerate(vec.labels):
-            groups.setdefault(group_key(labels), []).append(i)
+        spec = grouping_spec(node)
+        if spec[0] == "empty":
+            # One group, with every row in it.
+            keys = [_EMPTY_LABELS] if vec.nrows else []
+            gids = np.zeros(vec.nrows, dtype=np.intp)
+        else:
+            index: dict[Labels, int] = {}
+            gids = np.fromiter(
+                (index.setdefault(derive(l, spec), len(index)) for l in vec.labels),
+                dtype=np.intp,
+                count=vec.nrows,
+            )
+            keys = list(index)
+        G = len(keys)
 
         op = node.op
         if op in ("topk", "bottomk"):
-            return self._topk(node, vec, groups, param)
+            return self._topk(node, vec, gids, G, param)
+        if not G:
+            return _empty(T)
 
-        out_labels: list[Labels] = []
-        out_rows: list[np.ndarray] = []
-        out_present: list[np.ndarray] = []
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for key, rows in groups.items():
-                sub_vals = vec.values[rows]
-                sub_pres = vec.present[rows]
-                count = sub_pres.sum(axis=0)
-                col_present = count > 0
-                if op in ("sum", "avg", "stddev", "stdvar"):
-                    # Row-sequential masked accumulation: absent cells
-                    # add an exact +0.0, so each column reproduces the
-                    # reference's _seq_sum over present members.
-                    masked = np.where(sub_pres, sub_vals, 0.0)
-                    acc = np.zeros(T)
-                    for r in range(len(rows)):
-                        acc = acc + masked[r]
-                    if op == "sum":
-                        vals = acc
-                    elif op == "avg":
-                        vals = acc / count
+        present = vec.present
+        # Dense input (every row present at every step, the common case
+        # of an instant query) needs no masking: every group is present
+        # everywhere.
+        dense = bool(present.all())
+        count = _group_sum(gids, G, present)
+        col_present = count.astype(bool)
+        if op in ("sum", "avg", "stddev", "stdvar"):
+            # Absent cells add an exact +0.0, so each cell is the
+            # left-to-right sum over present members.
+            vals = _group_sum(gids, G, vec.values if dense else np.where(present, vec.values, 0.0))
+            if op != "sum":
+                # Empty cells divide by zero; they are masked out below.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    mean = vals / count
+                    if op == "avg":
+                        vals = mean
                     else:
-                        mean = acc / count
-                        dev = sub_vals - mean
-                        dev2 = np.where(sub_pres, dev * dev, 0.0)
-                        acc2 = np.zeros(T)
-                        for r in range(len(rows)):
-                            acc2 = acc2 + dev2[r]
-                        vals = acc2 / count
+                        dev = vec.values - mean[gids]
+                        vals = _group_sum(gids, G, np.where(present, dev * dev, 0.0)) / count
                         if op == "stddev":
                             vals = np.sqrt(vals)
-                elif op == "min":
-                    vals = np.minimum.reduce(np.where(sub_pres, sub_vals, np.inf), axis=0)
-                elif op == "max":
-                    vals = np.maximum.reduce(np.where(sub_pres, sub_vals, -np.inf), axis=0)
-                elif op == "count":
-                    vals = count.astype(np.float64)
-                elif op == "quantile":
-                    if param is None:
-                        raise QueryError("quantile requires a parameter")
-                    vals = np.full(T, np.nan)
-                    for j in np.nonzero(col_present)[0]:
-                        members = sub_vals[:, j][sub_pres[:, j]]
-                        q = float(param[j])
-                        vals[j] = float(np.quantile(members, min(max(q, 0), 1)))
-                else:
-                    raise QueryError(f"unknown aggregation {op!r}")
-                out_labels.append(key)
-                out_rows.append(np.where(col_present, vals, np.nan))
-                out_present.append(col_present)
-        if not out_labels:
-            return _Matrix([], np.zeros((0, T)), np.zeros((0, T), dtype=bool))
-        return _Matrix(out_labels, np.vstack(out_rows), np.vstack(out_present))
+        elif op == "min":
+            vals = np.full((G, T), np.inf)
+            np.minimum.at(vals, gids, vec.values if dense else np.where(present, vec.values, np.inf))
+        elif op == "max":
+            vals = np.full((G, T), -np.inf)
+            np.maximum.at(vals, gids, vec.values if dense else np.where(present, vec.values, -np.inf))
+        elif op == "count":
+            vals = count
+        elif op == "quantile":
+            if param is None:
+                raise QueryError("quantile requires a parameter")
+            vals = np.full((G, T), np.nan)
+            for g, j in zip(*np.nonzero(col_present)):
+                members = vec.values[(gids == g) & present[:, j], j]
+                q = float(param[j])
+                vals[g, j] = float(np.quantile(members, min(max(q, 0), 1)))
+        else:
+            raise QueryError(f"unknown aggregation {op!r}")
+        return _Matrix(keys, vals if dense else np.where(col_present, vals, np.nan), col_present)
 
-    def _topk(self, node, vec: _Matrix, groups, param) -> _Matrix:
+    def _topk(self, node, vec: _Matrix, gids: np.ndarray, G: int, param) -> _Matrix:
         op = node.op
         if param is None:
             raise QueryError(f"{op} requires a parameter")
         k_cols = np.maximum(param.astype(np.int64), 0)
-        out_labels: list[Labels] = []
-        out_rows: list[np.ndarray] = []
-        out_present: list[np.ndarray] = []
-        for _key, rows in groups.items():
+        fill = -np.inf if op == "topk" else np.inf
+        order: list[np.ndarray] = []
+        kept: list[np.ndarray] = []
+        for g in range(G):
+            rows = np.flatnonzero(gids == g)
             sub_vals = vec.values[rows]
             sub_pres = vec.present[rows]
-            if op == "topk":
-                order = np.argsort(
-                    -np.where(sub_pres, sub_vals, -np.inf), axis=0, kind="stable"
-                )
-            else:
-                order = np.argsort(
-                    np.where(sub_pres, sub_vals, np.inf), axis=0, kind="stable"
-                )
-            ranks = np.empty_like(order)
+            keyed = np.where(sub_pres, sub_vals, fill)
+            ranked = np.argsort(-keyed if op == "topk" else keyed, axis=0, kind="stable")
+            ranks = np.empty_like(ranked)
             np.put_along_axis(
-                ranks,
-                order,
-                np.broadcast_to(np.arange(len(rows)).reshape(-1, 1), order.shape),
-                axis=0,
+                ranks, ranked, np.broadcast_to(np.arange(len(rows)).reshape(-1, 1), ranked.shape), axis=0
             )
-            keep = sub_pres & (ranks < k_cols)
-            for local_i, row in enumerate(rows):
-                # topk keeps the original element labels (incl. name).
-                out_labels.append(vec.labels[row])
-                out_rows.append(np.where(keep[local_i], sub_vals[local_i], np.nan))
-                out_present.append(keep[local_i])
-        if not out_labels:
-            return _Matrix([], np.zeros((0, self.T)), np.zeros((0, self.T), dtype=bool))
-        return _Matrix(out_labels, np.vstack(out_rows), np.vstack(out_present))
+            order.append(rows)
+            kept.append(sub_pres & (ranks < k_cols))
+        if not order:
+            return _empty(self.T)
+        rows = np.concatenate(order)
+        keep = np.vstack(kept)
+        # topk keeps the original element labels (incl. name).
+        return _Matrix(
+            [vec.labels[i] for i in rows.tolist()], np.where(keep, vec.values[rows], np.nan), keep
+        )
 
     # -- binary operators ------------------------------------------------
     def _binary(self, node: BinaryOp):
@@ -714,11 +882,11 @@ class _ColumnarEval:
 
     @classmethod
     def _apply_op_array(cls, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise _apply_op.  +,-,*,/ and comparisons are IEEE ops
-        whose results match the scalar special-casing bit for bit; % and
-        ^ loop through the scalar implementation because ``math.fmod``/
-        ``**`` have Python-level edge semantics (exceptions) that numpy
-        ufuncs do not reproduce."""
+        """Elementwise :func:`apply_op`.  +,-,*,/ and comparisons are
+        IEEE ops whose results match the scalar special-casing bit for
+        bit; % and ^ loop through the scalar implementation because
+        ``math.fmod``/``**`` have Python-level edge semantics
+        (exceptions) that numpy ufuncs do not reproduce."""
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             if op == "+":
                 return a + b
@@ -734,23 +902,16 @@ class _ColumnarEval:
                 flat_a, flat_b = a2.ravel(), b2.ravel()
                 flat_o = out.ravel()
                 for i in range(flat_a.size):
-                    flat_o[i] = PromQLEngine._apply_op(op, float(flat_a[i]), float(flat_b[i]))
+                    flat_o[i] = apply_op(op, float(flat_a[i]), float(flat_b[i]))
                 return out
             if op in _COMPARISONS:
                 return cls._compare_raw(op, a, b).astype(np.float64)
         raise QueryError(f"unknown operator {op!r}")
 
-    def _as_scalar_array(self, value) -> np.ndarray:
-        if isinstance(value, str):
-            return np.full(self.T, float(value))
-        return value
-
     def _scalar_scalar(self, node: BinaryOp, lhs, rhs) -> np.ndarray:
         if node.op in _COMPARISONS and not node.return_bool:
             raise QueryError("comparisons between scalars must use the bool modifier")
-        return self._apply_op_array(
-            node.op, self._as_scalar_array(lhs), self._as_scalar_array(rhs)
-        )
+        return self._apply_op_array(node.op, self._as_scalar_array(lhs), self._as_scalar_array(rhs))
 
     def _vector_scalar(self, node: BinaryOp, lhs, rhs, *, scalar_on_right: bool) -> _Matrix:
         vec: _Matrix = lhs if scalar_on_right else rhs
@@ -759,149 +920,126 @@ class _ColumnarEval:
         a = vec.values if scalar_on_right else scal
         b = scal if scalar_on_right else vec.values
         if comparison and not node.return_bool:
-            raw = self._compare_raw(node.op, a, b)
-            present = vec.present & raw
+            present = vec.present & self._compare_raw(node.op, a, b)
             # Filter semantics: kept elements are unchanged.
-            return _Matrix(
-                list(vec.labels),
-                np.where(present, vec.values, np.nan),
-                present,
-            )
-        values = self._apply_op_array(node.op, a, b)
-        values = np.where(vec.present, values, np.nan)
-        return _Matrix(
-            [l.without_name() for l in vec.labels], values, vec.present.copy()
-        )
+            return _compact(list(vec.labels), np.where(present, vec.values, np.nan), present)
+        values = np.where(vec.present, self._apply_op_array(node.op, a, b), np.nan)
+        return _Matrix([without_name(l) for l in vec.labels], values, vec.present)
+
+    @staticmethod
+    def _check_unique(mat: _Matrix, groups: dict[Labels, list[int]], message: str) -> None:
+        """Duplicate signatures are only an error where two elements are
+        simultaneously present — column-aware, like a per-step walk."""
+        for s, idxs in groups.items():
+            if len(idxs) > 1 and bool((mat.present[idxs].sum(axis=0) > 1).any()):
+                raise QueryError(message.format(sig=s))
 
     def _vector_vector(self, node: BinaryOp, lhs: _Matrix, rhs: _Matrix) -> _Matrix:
         matching = node.matching
         group = matching.group if matching else ""
-        comparison = node.op in _COMPARISONS
-        signature = PromQLEngine._signature
-        T = self.T
+        filtering = node.op in _COMPARISONS and not node.return_bool
+        spec = signature_spec(matching)
+        many, one = (rhs, lhs) if group == "right" else (lhs, rhs)
 
-        if group == "right":
-            many, one = rhs, lhs
-        else:
-            many, one = lhs, rhs
-
-        one_sigs = [signature(l, matching) for l in one.labels]
         one_groups: dict[Labels, list[int]] = {}
-        for i, s in enumerate(one_sigs):
-            one_groups.setdefault(s, []).append(i)
-        # Duplicate signatures are only an error where two elements are
-        # simultaneously present — column-aware, like the per-step path.
-        for s, idxs in one_groups.items():
-            if len(idxs) > 1 and bool((one.present[idxs].sum(axis=0) > 1).any()):
-                raise QueryError(
-                    f"many-to-many matching: duplicate signature {s} on the "
-                    f"'one' side of {node.op}"
-                )
+        for i, l in enumerate(one.labels):
+            one_groups.setdefault(derive(l, spec), []).append(i)
+        self._check_unique(
+            one, one_groups, "many-to-many matching: duplicate signature {sig} on the 'one' side of " + node.op
+        )
 
+        # Matched (many row, one row) pairs in emission order, and the
+        # labels of each output row.
+        m_rows: list[int] = []
+        o_rows: list[int] = []
         out_labels: list[Labels] = []
-        out_rows: list[np.ndarray] = []
-        out_present: list[np.ndarray] = []
-
-        def emit(labels: Labels, values: np.ndarray, present: np.ndarray) -> None:
-            out_labels.append(labels)
-            out_rows.append(np.where(present, values, np.nan))
-            out_present.append(present)
-
         if group:
-            many_sigs = [signature(l, matching) for l in many.labels]
-            for m_i, m_sig in enumerate(many_sigs):
-                partners = one_groups.get(m_sig)
+            include = matching.include
+            for m_i, l in enumerate(many.labels):
+                partners = one_groups.get(derive(l, spec))
                 if not partners:
                     continue
                 for o_i in partners:
-                    both = many.present[m_i] & one.present[o_i]
-                    if group == "left":
-                        a, b = many.values[m_i], one.values[o_i]
-                    else:
-                        a, b = one.values[o_i], many.values[m_i]
-                    if comparison and not node.return_bool:
-                        raw = self._compare_raw(node.op, a, b)
-                        emit(many.labels[m_i], many.values[m_i], both & raw)
+                    m_rows.append(m_i)
+                    o_rows.append(o_i)
+                    if filtering:
+                        out_labels.append(l)
                         continue
-                    labels = many.labels[m_i].without_name()
-                    if matching and matching.include:
+                    labels = without_name(l)
+                    if include:
                         merged = labels.as_dict()
                         partner_labels = one.labels[o_i]
-                        for name in matching.include:
+                        for name in include:
                             value_from_one = partner_labels.get(name, "")
                             if value_from_one:
                                 merged[name] = value_from_one
                             else:
                                 merged.pop(name, None)
                         labels = Labels(merged)
-                    emit(labels, self._apply_op_array(node.op, a, b), both)
+                    out_labels.append(labels)
         else:
-            lhs_sigs = [signature(l, matching) for l in lhs.labels]
+            lhs_sigs = [derive(l, spec) for l in lhs.labels]
             lhs_groups: dict[Labels, list[int]] = {}
             for i, s in enumerate(lhs_sigs):
                 lhs_groups.setdefault(s, []).append(i)
-            for s, idxs in lhs_groups.items():
-                if len(idxs) > 1 and bool((lhs.present[idxs].sum(axis=0) > 1).any()):
-                    raise QueryError(
-                        f"many-to-many matching: duplicate signature {s} on left side"
-                    )
+            self._check_unique(lhs, lhs_groups, "many-to-many matching: duplicate signature {sig} on left side")
+            keep_sig = matching is not None and matching.on
             for l_i, s in enumerate(lhs_sigs):
                 partners = one_groups.get(s)
                 if not partners:
                     continue
                 for r_i in partners:
-                    both = lhs.present[l_i] & rhs.present[r_i]
-                    a, b = lhs.values[l_i], rhs.values[r_i]
-                    if comparison and not node.return_bool:
-                        raw = self._compare_raw(node.op, a, b)
-                        emit(lhs.labels[l_i], lhs.values[l_i], both & raw)
-                        continue
-                    labels = s if (matching and matching.on) else lhs.labels[l_i].without_name()
-                    emit(labels, self._apply_op_array(node.op, a, b), both)
+                    m_rows.append(l_i)
+                    o_rows.append(r_i)
+                    if filtering:
+                        out_labels.append(lhs.labels[l_i])
+                    else:
+                        out_labels.append(s if keep_sig else without_name(lhs.labels[l_i]))
 
         if not out_labels:
-            return _Matrix([], np.zeros((0, T)), np.zeros((0, T), dtype=bool))
-        return _Matrix(out_labels, np.vstack(out_rows), np.vstack(out_present))
+            return _empty(self.T)
+        m_idx = np.asarray(m_rows, dtype=np.intp)
+        o_idx = np.asarray(o_rows, dtype=np.intp)
+        many_vals = many.values[m_idx]
+        one_vals = one.values[o_idx]
+        a, b = (one_vals, many_vals) if group == "right" else (many_vals, one_vals)
+        both = many.present[m_idx] & one.present[o_idx]
+        if filtering:
+            present = both & self._compare_raw(node.op, a, b)
+            return _Matrix(out_labels, np.where(present, many_vals, np.nan), present)
+        return _Matrix(out_labels, np.where(both, self._apply_op_array(node.op, a, b), np.nan), both)
 
     def _set_op(self, node: BinaryOp, lhs: _Matrix, rhs: _Matrix) -> _Matrix:
-        matching = node.matching
-        signature = PromQLEngine._signature
+        spec = signature_spec(node.matching)
         T = self.T
 
-        def sig_masks(mat: _Matrix) -> dict[Labels, np.ndarray]:
-            masks: dict[Labels, np.ndarray] = {}
-            for i, labels in enumerate(mat.labels):
-                s = signature(labels, matching)
-                prev = masks.get(s)
-                masks[s] = mat.present[i] if prev is None else (prev | mat.present[i])
+        def sig_masks(mat: _Matrix, index: dict[Labels, int]) -> np.ndarray:
+            """Per-signature presence (OR over rows), plus a trailing
+            all-absent row for signatures the other side lacks."""
+            ids = np.fromiter(
+                (index.setdefault(derive(l, spec), len(index)) for l in mat.labels),
+                dtype=np.intp,
+                count=mat.nrows,
+            )
+            masks = np.zeros((len(index) + 1, T), dtype=bool)
+            np.logical_or.at(masks, ids, mat.present)
             return masks
 
+        def lookup(mat: _Matrix, index: dict[Labels, int]) -> np.ndarray:
+            missing = len(index)
+            return np.fromiter(
+                (index.get(derive(l, spec), missing) for l in mat.labels), dtype=np.intp, count=mat.nrows
+            )
+
         if node.op in ("and", "unless"):
-            rhs_masks = sig_masks(rhs)
-            rows = []
-            for i, labels in enumerate(lhs.labels):
-                mask = rhs_masks.get(signature(labels, matching))
-                if mask is None:
-                    mask = np.zeros(T, dtype=bool)
-                present = lhs.present[i] & (mask if node.op == "and" else ~mask)
-                rows.append(present)
-            present = (
-                np.vstack(rows) if rows else np.zeros((0, T), dtype=bool)
-            )
-            return _Matrix(
-                list(lhs.labels), np.where(present, lhs.values, np.nan), present
-            )
+            index: dict[Labels, int] = {}
+            mask = sig_masks(rhs, index)[lookup(lhs, index)]
+            present = lhs.present & (mask if node.op == "and" else ~mask)
+            return _Matrix(list(lhs.labels), np.where(present, lhs.values, np.nan), present)
         # or: all of lhs plus rhs columns whose signature is absent on lhs
-        lhs_masks = sig_masks(lhs)
-        out_labels = list(lhs.labels)
-        out_rows = [np.where(lhs.present[i], lhs.values[i], np.nan) for i in range(lhs.nrows)]
-        out_present = [lhs.present[i].copy() for i in range(lhs.nrows)]
-        for i, labels in enumerate(rhs.labels):
-            shadow = lhs_masks.get(signature(labels, matching))
-            present = rhs.present[i] & ~shadow if shadow is not None else rhs.present[i].copy()
-            out_labels.append(labels)
-            out_rows.append(np.where(present, rhs.values[i], np.nan))
-            out_present.append(present)
-        if not out_labels:
-            return _Matrix([], np.zeros((0, T)), np.zeros((0, T), dtype=bool))
-        return _Matrix(out_labels, np.vstack(out_rows), np.vstack(out_present))
+        index = {}
+        shadow = sig_masks(lhs, index)[lookup(rhs, index)]
+        rhs_present = rhs.present & ~shadow
+        present = np.concatenate([lhs.present, rhs_present])
+        values = np.concatenate([lhs.values, rhs.values])
+        return _Matrix(list(lhs.labels) + list(rhs.labels), np.where(present, values, np.nan), present)

@@ -177,12 +177,14 @@ RANGE_FUNCTIONS: dict[str, RangeFunc] = {
 
 # -- windowed (columnar) kernels ----------------------------------------
 #
-# A *window kernel* evaluates one range function over many windows of
-# one series at once: given the series' sample arrays plus per-step
-# ``[lo, hi)`` index bounds and ``[start, end]`` time bounds, it
-# returns one value per step, NaN marking "no result" (the columnar
-# engine treats NaN kernel output as an absent element, mirroring the
-# per-step engine dropping None/NaN results).
+# A *window kernel* evaluates one range function over many windows at
+# once: given sample arrays plus per-window ``[lo, hi)`` index bounds
+# and ``[start, end]`` time bounds, it returns one value per window,
+# NaN marking "no result" (the engine treats NaN kernel output as an
+# absent element, as the scalar implementations' None/NaN results are
+# dropped).  Windows are independent of each other, so the engine
+# passes every series of a selector in one call, their samples
+# concatenated: no window spans two series.
 #
 # Kernels must be *bit-identical* to the scalar implementations above
 # — the differential test harness asserts it.  Functions whose value
@@ -193,8 +195,8 @@ RANGE_FUNCTIONS: dict[str, RangeFunc] = {
 # because the reset-correction accumulation order cannot be reproduced
 # with prefix sums.  Everything else (``avg_over_time``, ``deriv``…)
 # uses a generic fallback that slices views and calls the scalar
-# implementation — still a large win, since the columnar engine has
-# already amortised selection, snapshotting and searchsorted.
+# implementation — still a large win, since the engine has already
+# amortised selection, snapshotting and searchsorted.
 
 WindowFunc = Callable[
     [np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray],

@@ -92,11 +92,16 @@ class TestMetaMonitoring:
         assert max(el.value for el in result.vector) > 0.0
 
     def test_eval_strategy_timings_scraped(self, obs_sim):
-        result = obs_sim.engine.query(
-            'ceems_promql_eval_queries_total{job="prometheus"}', at=obs_sim.now
+        """Eval timings are scraped as one family each — there is one
+        evaluator, so the series carry no ``strategy`` label."""
+        for family in ("ceems_promql_eval_queries_total", "ceems_promql_eval_seconds_total"):
+            result = obs_sim.engine.query(f'{family}{{job="prometheus"}}', at=obs_sim.now)
+            assert result.vector, family
+            assert all("strategy" not in el.labels for el in result.vector)
+        queries = obs_sim.engine.query(
+            'sum(ceems_promql_eval_queries_total{job="prometheus"})', at=obs_sim.now
         )
-        strategies = {el.labels.get("strategy") for el in result.vector}
-        assert "per_step" in strategies or "columnar" in strategies
+        assert queries.vector[0].value > 0
 
     def test_scrape_loop_counters_scraped(self, obs_sim):
         result = obs_sim.engine.query(

@@ -456,10 +456,10 @@ class TestLBForwarding:
         hold, entered = threading.Event(), threading.Event()
         original = api.engine.query_range
 
-        def slow(ast, start, end, step, strategy="columnar"):
+        def slow(ast, start, end, step):
             entered.set()
             hold.wait(timeout=5)
-            return original(ast, start, end, step, strategy=strategy)
+            return original(ast, start, end, step)
 
         api.engine.query_range = slow
         now = fe_sim.clock.now()

@@ -27,6 +27,7 @@ from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.promql.functions import histogram_bucket_quantile
 from repro.tsdb.storage import TSDB
+from tests.oracles.promql_per_step import PerStepEngine
 
 
 class TestRegistry:
@@ -289,10 +290,9 @@ class TestHistogramQuantile:
         assert all("le" not in el.labels.as_dict() for el in result.vector)
 
     def test_columnar_matches_per_step(self, db):
-        engine = PromQLEngine(db)
         expr = "histogram_quantile(0.9, lat_bucket)"
-        ref = engine.query_range(expr, 0.0, 30.0, 15.0, strategy="per_step")
-        col = engine.query_range(expr, 0.0, 30.0, 15.0, strategy="columnar")
+        ref = PerStepEngine(db).query_range(expr, 0.0, 30.0, 15.0)
+        col = PromQLEngine(db).query_range(expr, 0.0, 30.0, 15.0)
         assert set(ref.series) == set(col.series)
         for labels in ref.series:
             r_ts, r_vs = ref.series[labels]

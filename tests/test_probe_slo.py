@@ -200,7 +200,7 @@ class TestShippedRulesCompile:
         at = small_sim.now
         for group in small_sim.rule_evaluator.groups:
             for rule in group.rules:
-                engine.query(rule.ast(), at, strategy="columnar")
+                engine.query(rule.ast(), at)
         for rule in ceems_alert_rules():
             engine.query(rule.ast(), at)
         for group in small_sim.rule_evaluator.alert_groups:

@@ -5,11 +5,12 @@ engine result must match an independently-coded brute-force
 implementation of the same semantics.
 
 The second half of this module is the **differential harness** for the
-columnar evaluator: every reference query runs through both
-``strategy="columnar"`` and ``strategy="per_step"`` over randomized
-series (including staleness markers and samples straddling the
-lookback boundary), asserting bit-identical ``RangeResult``s — not
-approximately equal; ``np.array_equal`` on timestamps and values.
+production (columnar) evaluator: every reference query runs through
+:class:`PromQLEngine` and through the per-step oracle
+(``tests/oracles/promql_per_step.py``) over randomized series
+(including staleness markers and samples straddling the lookback
+boundary), asserting bit-identical results — not approximately equal;
+``np.array_equal`` on timestamps and values.
 """
 
 import math
@@ -22,6 +23,11 @@ from hypothesis import strategies as st
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import DEFAULT_LOOKBACK, PromQLEngine
 from repro.tsdb.storage import TSDB
+from tests.oracles.promql_per_step import (
+    assert_instant_identical,
+    assert_range_identical,
+    both_engines,
+)
 
 # series: (group_label, series_label) -> list of (t, v)
 _series_strategy = st.dictionaries(
@@ -274,55 +280,6 @@ DIFFERENTIAL_QUERIES = [
 ]
 
 
-def _run_both_range(engine, query, start, end, step):
-    outcomes = []
-    for strategy in ("columnar", "per_step"):
-        try:
-            outcomes.append(engine.query_range(query, start, end, step, strategy=strategy))
-        except Exception as exc:  # noqa: BLE001 - recorded for comparison
-            outcomes.append((type(exc), str(exc)))
-    return outcomes
-
-
-def assert_range_identical(engine, query, start, end, step):
-    col, ref = _run_both_range(engine, query, start, end, step)
-    if isinstance(col, tuple) or isinstance(ref, tuple):
-        # Both evaluators must fail identically (type and message).
-        assert col == ref, f"{query}: divergent errors {col!r} vs {ref!r}"
-        return
-    assert set(col.series) == set(ref.series), query
-    for labels in ref.series:
-        col_ts, col_vs = col.series[labels]
-        ref_ts, ref_vs = ref.series[labels]
-        assert np.array_equal(col_ts, ref_ts), f"{query}: {labels}"
-        assert np.array_equal(col_vs, ref_vs, equal_nan=True), f"{query}: {labels}"
-
-
-def assert_instant_identical(engine, query, at):
-    outcomes = []
-    for strategy in ("columnar", "per_step"):
-        try:
-            outcomes.append(engine.query(query, at, strategy=strategy))
-        except Exception as exc:  # noqa: BLE001
-            outcomes.append((type(exc), str(exc)))
-    col, ref = outcomes
-    if isinstance(col, tuple) or isinstance(ref, tuple):
-        assert col == ref, f"{query}: divergent errors {col!r} vs {ref!r}"
-        return
-    assert col.is_scalar == ref.is_scalar, query
-    if col.is_scalar:
-        assert col.scalar == ref.scalar or (
-            math.isnan(col.scalar) and math.isnan(ref.scalar)
-        ), query
-        return
-    assert len(col.vector) == len(ref.vector), query
-    for c, r in zip(col.vector, ref.vector):
-        assert c.labels == r.labels, query
-        assert c.value == r.value or (
-            math.isnan(c.value) and math.isnan(r.value)
-        ), query
-
-
 @pytest.mark.parametrize("query", DIFFERENTIAL_QUERIES)
 @settings(max_examples=10, deadline=None)
 @given(
@@ -343,11 +300,11 @@ def test_columnar_lookback_boundary_identical():
     labels = Labels({"__name__": "m", "grp": "a", "idx": "0"})
     db.append(labels, 0.0, 42.0)
     engine = PromQLEngine(db)
-    for strategy in ("columnar", "per_step"):
-        inside = engine.query("m", 299.0, strategy=strategy)
-        at_boundary = engine.query("m", 300.0, strategy=strategy)
-        assert [el.value for el in inside.vector] == [42.0], strategy
-        assert at_boundary.vector == [], strategy
+    for evaluator in both_engines(engine):
+        inside = evaluator.query("m", 299.0)
+        at_boundary = evaluator.query("m", 300.0)
+        assert [el.value for el in inside.vector] == [42.0], evaluator
+        assert at_boundary.vector == [], evaluator
     # and over a range whose steps straddle the boundary
     assert_range_identical(engine, "m", 0.0, 600.0, 60.0)
 
@@ -360,10 +317,10 @@ def test_columnar_staleness_marker_identical():
     db.append(labels, 10.0, math.nan)
     db.append(labels, 20.0, 7.0)
     engine = PromQLEngine(db)
-    for strategy in ("columnar", "per_step"):
-        assert [el.value for el in engine.query("m", 5.0, strategy=strategy).vector] == [5.0]
-        assert engine.query("m", 12.0, strategy=strategy).vector == []
-        assert [el.value for el in engine.query("m", 25.0, strategy=strategy).vector] == [7.0]
+    for evaluator in both_engines(engine):
+        assert [el.value for el in evaluator.query("m", 5.0).vector] == [5.0]
+        assert evaluator.query("m", 12.0).vector == []
+        assert [el.value for el in evaluator.query("m", 25.0).vector] == [7.0]
     for query in ("m", "rate(m[1m])", "count_over_time(m[30s])", "sum(m)"):
         assert_range_identical(engine, query, 0.0, 120.0, 5.0)
 
@@ -385,7 +342,7 @@ def test_columnar_many_to_many_error_identical():
 #
 # The ring-buffer head (``head_layout="columnar"``) must be
 # *observationally identical* to the original list-backed head: same
-# PromQL answers, bit for bit, under both evaluation strategies.  The
+# PromQL answers, bit for bit, under the engine and the per-step oracle.  The
 # hypothesis sweep feeds the same random layout (staleness markers
 # included) into one TSDB of each layout and compares engine output
 # across layouts; a deterministic test then stresses the paths the
@@ -393,31 +350,33 @@ def test_columnar_many_to_many_error_identical():
 # after sealing, retention trims that cut through sealed chunks.
 
 
-def _range_outcome(engine, query, start, end, step, strategy):
+def _range_outcome(engine, query, start, end, step):
     try:
-        return engine.query_range(query, start, end, step, strategy=strategy)
+        return engine.query_range(query, start, end, step)
     except Exception as exc:  # noqa: BLE001 - recorded for comparison
         return (type(exc), str(exc))
 
 
 def assert_layouts_identical(engines, query, start, end, step):
     """Engine output over a list-head and a columnar-head TSDB match."""
-    for strategy in ("columnar", "per_step"):
-        ref = _range_outcome(engines["list"], query, start, end, step, strategy)
-        got = _range_outcome(engines["columnar"], query, start, end, step, strategy)
+    for ref_engine, got_engine, name in zip(
+        both_engines(engines["list"]), both_engines(engines["columnar"]), ("engine", "oracle")
+    ):
+        ref = _range_outcome(ref_engine, query, start, end, step)
+        got = _range_outcome(got_engine, query, start, end, step)
         if isinstance(ref, tuple) or isinstance(got, tuple):
-            assert ref == got, f"{query} [{strategy}]: {ref!r} vs {got!r}"
+            assert ref == got, f"{query} [{name}]: {ref!r} vs {got!r}"
             continue
-        assert set(ref.series) == set(got.series), f"{query} [{strategy}]"
+        assert set(ref.series) == set(got.series), f"{query} [{name}]"
         for labels in ref.series:
             ref_ts, ref_vs = ref.series[labels]
             got_ts, got_vs = got.series[labels]
-            assert ref_ts.tobytes() == got_ts.tobytes(), f"{query} [{strategy}]: {labels}"
-            assert ref_vs.tobytes() == got_vs.tobytes(), f"{query} [{strategy}]: {labels}"
+            assert ref_ts.tobytes() == got_ts.tobytes(), f"{query} [{name}]: {labels}"
+            assert ref_vs.tobytes() == got_vs.tobytes(), f"{query} [{name}]: {labels}"
 
 
 #: A representative slice of DIFFERENTIAL_QUERIES — the full list runs
-#: in the strategy differential above; the layout differential only
+#: in the engine-vs-oracle differential above; the layout differential only
 #: needs one query per selector/kernel shape the head serves.
 LAYOUT_QUERIES = [
     "m",
