@@ -134,41 +134,36 @@ def apply_op(op: str, a: float, b: float) -> float:
 
 
 # -- derived label sets --------------------------------------------------
-#
-# Rules re-derive the same label sets every interval (names dropped,
-# grouping keys, matching signatures) from the same long-lived series
-# labels.  A derivation is a pure function of (labels, spec), so it is
-# memoised; the memo is cleared wholesale when it reaches its bound,
-# which keeps memory flat under series churn.
-
-_DERIVED: dict[tuple[Labels, tuple], Labels] = {}
-_DERIVED_MAX = 1 << 14
 
 _WITHOUT_NAME = ("drop", (METRIC_NAME_LABEL,))
 _EMPTY_LABELS = Labels()
 
 
-def derive(labels: Labels, spec: tuple) -> Labels:
-    """``labels`` reduced by ``spec`` — ``("drop", names)`` or
-    ``("keep", names)``, or ``("empty", ())``."""
-    key = (labels, spec)
-    out = _DERIVED.get(key)
-    if out is None:
-        kind, names = spec
-        if kind == "drop":
-            out = labels.drop(*names)
-        elif kind == "keep":
-            out = labels.keep(names)
-        else:
-            out = _EMPTY_LABELS
-        if len(_DERIVED) >= _DERIVED_MAX:
-            _DERIVED.clear()
-        _DERIVED[key] = out
-    return out
+class DerivedLabels:
+    """Memo of label sets derived from others: ``("drop", names)`` or
+    ``("keep", names)`` applied to a source ``Labels``.
 
+    Rules re-derive the same label sets every interval (names dropped,
+    grouping keys, matching signatures) from the same long-lived series
+    labels, and a derivation is a pure function of (labels, spec).  One
+    memo lives on each engine; it is cleared wholesale when it reaches
+    ``max_entries``, which keeps memory flat under series churn.
+    """
 
-def without_name(labels: Labels) -> Labels:
-    return derive(labels, _WITHOUT_NAME)
+    def __init__(self, max_entries: int = 1 << 14) -> None:
+        self.max_entries = max_entries
+        self._memo: dict[tuple[Labels, tuple], Labels] = {}
+
+    def get(self, labels: Labels, spec: tuple) -> Labels:
+        key = (labels, spec)
+        out = self._memo.get(key)
+        if out is None:
+            kind, names = spec
+            out = labels.drop(*names) if kind == "drop" else labels.keep(names)
+            if len(self._memo) >= self.max_entries:
+                self._memo.clear()
+            self._memo[key] = out
+        return out
 
 
 def signature_spec(matching: VectorMatching | None) -> tuple:
@@ -180,17 +175,13 @@ def signature_spec(matching: VectorMatching | None) -> tuple:
     return ("drop", (*matching.labels, METRIC_NAME_LABEL))
 
 
-def grouping_spec(node: Aggregation) -> tuple:
-    """Derivation spec of an aggregation's group key."""
+def grouping_spec(node: Aggregation) -> tuple | None:
+    """Derivation spec of an aggregation's group key (None: one group)."""
     if node.without:
         return ("drop", (*node.grouping, METRIC_NAME_LABEL))
     if node.grouping:
         return ("keep", tuple(node.grouping))
-    return ("empty", ())
-
-
-def signature(labels: Labels, matching: VectorMatching | None) -> Labels:
-    return derive(labels, signature_spec(matching))
+    return None
 
 
 def _pruned_arrays(series, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
@@ -312,6 +303,10 @@ class _ColumnarEval:
         # (e.g. rate(m[5m]) + increase(m[5m])) are resolved once.
         self._selector_memo: dict[Expr, _Matrix] = {}
         self._window_memo: dict[Expr, _Windows] = {}
+        self._derive = engine.derived_labels.get
+
+    def _without_name(self, labels: Labels) -> Labels:
+        return self._derive(labels, _WITHOUT_NAME)
 
     # -- materialization -------------------------------------------------
     def materialize(self, value) -> dict[Labels, tuple[np.ndarray, np.ndarray]]:
@@ -353,7 +348,7 @@ class _ColumnarEval:
         if isinstance(node, UnaryOp):
             inner = self.eval(node.expr)
             if isinstance(inner, _Matrix):
-                return _Matrix([without_name(l) for l in inner.labels], -inner.values, inner.present)
+                return _Matrix([self._without_name(l) for l in inner.labels], -inner.values, inner.present)
             return -inner
         if isinstance(node, VectorSelector):
             return self._selector(node)
@@ -588,7 +583,7 @@ class _ColumnarEval:
                 )
             values = flat.reshape(R, T)
             # Range functions yielding no value (None/NaN) drop the element.
-            return _Matrix([without_name(l) for l in w.labels], values, ~np.isnan(values))
+            return _Matrix([self._without_name(l) for l in w.labels], values, ~np.isnan(values))
         if func == "quantile_over_time":
             if len(node.args) != 2 or not isinstance(node.args[1], (MatrixSelector, Subquery)):
                 raise QueryError("quantile_over_time(scalar, range-vector) expected")
@@ -600,7 +595,7 @@ class _ColumnarEval:
             for k in np.flatnonzero(present):
                 values[k] = quantile_over_time(float(q[k % T]), w.vs[w.los[k] : w.his[k]])
             return _Matrix(
-                [without_name(l) for l in w.labels], values.reshape(R, T), present.reshape(R, T)
+                [self._without_name(l) for l in w.labels], values.reshape(R, T), present.reshape(R, T)
             )
         if func in ELEMENT_FUNCTIONS:
             return self._element_call(node)
@@ -612,7 +607,7 @@ class _ColumnarEval:
             raise QueryError(f"{func}() needs at least one argument")
         vec = self._vector(node.args[0])
         extras = [self._scalar(arg) for arg in node.args[1:]]
-        labels = [without_name(l) for l in vec.labels]
+        labels = [self._without_name(l) for l in vec.labels]
         values = np.full_like(vec.values, np.nan)
         if func == "abs":
             np.copyto(values, np.abs(vec.values), where=vec.present)
@@ -657,7 +652,7 @@ class _ColumnarEval:
         if func == "timestamp":
             vec = self._vector(node.args[0])
             values = np.where(vec.present, self.steps, np.nan)
-            return _Matrix([without_name(l) for l in vec.labels], values, vec.present)
+            return _Matrix([self._without_name(l) for l in vec.labels], values, vec.present)
         if func == "absent":
             vec = self._vector(node.args[0])
             any_present = vec.present.any(axis=0) if vec.nrows else np.zeros(T, dtype=bool)
@@ -711,7 +706,7 @@ class _ColumnarEval:
                     le = float(l.get("le", ""))
                 except ValueError:
                     continue
-                groups.setdefault(without_name(l).drop("le"), []).append((le, i))
+                groups.setdefault(self._without_name(l).drop("le"), []).append((le, i))
             out_labels: list[Labels] = []
             out_rows: list[np.ndarray] = []
             out_present: list[np.ndarray] = []
@@ -756,14 +751,14 @@ class _ColumnarEval:
         param = self._scalar(node.param) if node.param is not None else None
         T = self.T
         spec = grouping_spec(node)
-        if spec[0] == "empty":
+        if spec is None:
             # One group, with every row in it.
             keys = [_EMPTY_LABELS] if vec.nrows else []
             gids = np.zeros(vec.nrows, dtype=np.intp)
         else:
             index: dict[Labels, int] = {}
             gids = np.fromiter(
-                (index.setdefault(derive(l, spec), len(index)) for l in vec.labels),
+                (index.setdefault(self._derive(l, spec), len(index)) for l in vec.labels),
                 dtype=np.intp,
                 count=vec.nrows,
             )
@@ -924,7 +919,7 @@ class _ColumnarEval:
             # Filter semantics: kept elements are unchanged.
             return _compact(list(vec.labels), np.where(present, vec.values, np.nan), present)
         values = np.where(vec.present, self._apply_op_array(node.op, a, b), np.nan)
-        return _Matrix([without_name(l) for l in vec.labels], values, vec.present)
+        return _Matrix([self._without_name(l) for l in vec.labels], values, vec.present)
 
     @staticmethod
     def _check_unique(mat: _Matrix, groups: dict[Labels, list[int]], message: str) -> None:
@@ -943,7 +938,7 @@ class _ColumnarEval:
 
         one_groups: dict[Labels, list[int]] = {}
         for i, l in enumerate(one.labels):
-            one_groups.setdefault(derive(l, spec), []).append(i)
+            one_groups.setdefault(self._derive(l, spec), []).append(i)
         self._check_unique(
             one, one_groups, "many-to-many matching: duplicate signature {sig} on the 'one' side of " + node.op
         )
@@ -956,7 +951,7 @@ class _ColumnarEval:
         if group:
             include = matching.include
             for m_i, l in enumerate(many.labels):
-                partners = one_groups.get(derive(l, spec))
+                partners = one_groups.get(self._derive(l, spec))
                 if not partners:
                     continue
                 for o_i in partners:
@@ -965,7 +960,7 @@ class _ColumnarEval:
                     if filtering:
                         out_labels.append(l)
                         continue
-                    labels = without_name(l)
+                    labels = self._without_name(l)
                     if include:
                         merged = labels.as_dict()
                         partner_labels = one.labels[o_i]
@@ -978,7 +973,7 @@ class _ColumnarEval:
                         labels = Labels(merged)
                     out_labels.append(labels)
         else:
-            lhs_sigs = [derive(l, spec) for l in lhs.labels]
+            lhs_sigs = [self._derive(l, spec) for l in lhs.labels]
             lhs_groups: dict[Labels, list[int]] = {}
             for i, s in enumerate(lhs_sigs):
                 lhs_groups.setdefault(s, []).append(i)
@@ -994,7 +989,7 @@ class _ColumnarEval:
                     if filtering:
                         out_labels.append(lhs.labels[l_i])
                     else:
-                        out_labels.append(s if keep_sig else without_name(lhs.labels[l_i]))
+                        out_labels.append(s if keep_sig else self._without_name(lhs.labels[l_i]))
 
         if not out_labels:
             return _empty(self.T)
@@ -1017,7 +1012,7 @@ class _ColumnarEval:
             """Per-signature presence (OR over rows), plus a trailing
             all-absent row for signatures the other side lacks."""
             ids = np.fromiter(
-                (index.setdefault(derive(l, spec), len(index)) for l in mat.labels),
+                (index.setdefault(self._derive(l, spec), len(index)) for l in mat.labels),
                 dtype=np.intp,
                 count=mat.nrows,
             )
@@ -1028,7 +1023,7 @@ class _ColumnarEval:
         def lookup(mat: _Matrix, index: dict[Labels, int]) -> np.ndarray:
             missing = len(index)
             return np.fromiter(
-                (index.get(derive(l, spec), missing) for l in mat.labels), dtype=np.intp, count=mat.nrows
+                (index.get(self._derive(l, spec), missing) for l in mat.labels), dtype=np.intp, count=mat.nrows
             )
 
         if node.op in ("and", "unless"):

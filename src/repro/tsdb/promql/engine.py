@@ -32,7 +32,7 @@ import numpy as np
 from repro.common.errors import QueryError
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.ast import Call, Expr
-from repro.tsdb.promql.columnar import eval_instant_columnar, eval_range_columnar
+from repro.tsdb.promql.columnar import DerivedLabels, eval_instant_columnar, eval_range_columnar
 from repro.tsdb.promql.parser import parse_expr
 
 DEFAULT_LOOKBACK = 300.0
@@ -104,6 +104,8 @@ class PromQLEngine:
     def __init__(self, storage, lookback: float = DEFAULT_LOOKBACK) -> None:
         self.storage = storage
         self.lookback = lookback
+        #: Label sets derived during evaluation, reused across queries.
+        self.derived_labels = DerivedLabels()
         #: Evaluation accounting (self-telemetry): queries evaluated
         #: and the wall seconds they took.
         self.eval_queries = 0
