@@ -12,6 +12,7 @@ E12) show realistic divergences.
 from __future__ import annotations
 
 import math
+import zlib
 
 import numpy as np
 
@@ -85,6 +86,8 @@ class ElectricityMapsProvider(EmissionFactorProvider):
             -((hour - 19.5) ** 2) / 4.0
         )
         block = int(t // _WINDOW)
-        rng = np.random.default_rng((hash(zone) & 0xFFFF) * 2_000_003 + self.seed + block)
+        # crc32, not hash(): str hashes are salted per process, and the
+        # signal must not depend on PYTHONHASHSEED.
+        rng = np.random.default_rng((zlib.crc32(zone.encode()) & 0xFFFF) * 2_000_003 + self.seed + block)
         noise = float(rng.normal(0.0, 0.04))
         return max(base * (1.0 + swing * (demand - 0.3) + noise), 5.0)

@@ -29,6 +29,7 @@ import itertools
 import re
 import threading
 import time
+import zlib
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import Any
@@ -154,7 +155,8 @@ def _trace_fraction(trace_id: str) -> float:
     try:
         seed = int(trace_id, 16)
     except ValueError:
-        seed = hash(trace_id)
+        # crc32, not hash(): the draw must not depend on PYTHONHASHSEED.
+        seed = zlib.crc32(trace_id.encode())
     return (seed * _HASH_MULT) % _HASH_MOD / _HASH_MOD
 
 
