@@ -181,8 +181,11 @@ def test_columnar_range_speedup(benchmark, nsteps):
 
 # -- single-step guard: instant traffic vs the per-step oracle ------------
 
-#: Paired rounds per guard; the median ratio is what is bounded.
-GUARD_ROUNDS = 11
+#: Paired rounds per guard; the median ratio is what is bounded.  A
+#: rule pass takes tens of milliseconds; a pass of the instant panels
+#: well under ten, so it gets more rounds for the same noise.
+RULE_ROUNDS = 11
+PANEL_ROUNDS = 101
 #: Bound on median(engine seconds / oracle seconds) per round.
 MAX_INSTANT_RATIO = 1.0
 JZ_SCALE = 0.05
@@ -208,7 +211,7 @@ def _pass_seconds(engine: PromQLEngine, exprs: list, at: float) -> float:
     return time.perf_counter() - started
 
 
-def paired_rounds(sim, exprs: list) -> dict[str, float]:
+def paired_rounds(sim, exprs: list, rounds: int) -> dict[str, float]:
     """Time one pass of ``exprs`` through the engine and the oracle in
     back-to-back pairs (order alternating, so drift hits both alike)."""
     engine = PromQLEngine(sim.hot_tsdb, lookback=sim.lookback)
@@ -218,7 +221,7 @@ def paired_rounds(sim, exprs: list) -> dict[str, float]:
         assert_instant_identical(engine, expr, at)
     engine_s: list[float] = []
     oracle_s: list[float] = []
-    for r in range(GUARD_ROUNDS):
+    for r in range(rounds):
         if r % 2:
             oracle_s.append(_pass_seconds(oracle, exprs, at))
             engine_s.append(_pass_seconds(engine, exprs, at))
@@ -228,7 +231,7 @@ def paired_rounds(sim, exprs: list) -> dict[str, float]:
     ratios = [e / o for e, o in zip(engine_s, oracle_s)]
     return {
         "expressions": len(exprs),
-        "rounds": GUARD_ROUNDS,
+        "rounds": rounds,
         "engine_ms_median": statistics.median(engine_s) * 1e3,
         "oracle_ms_median": statistics.median(oracle_s) * 1e3,
         "ratio_median": statistics.median(ratios),
@@ -245,7 +248,6 @@ def _record(section: str, payload: dict) -> None:
     artifact["config"] = {
         "scale": JZ_SCALE,
         "warmup_s": JZ_WARMUP,
-        "rounds": GUARD_ROUNDS,
         "max_ratio": MAX_INSTANT_RATIO,
         "host": f"{platform.machine()} {platform.python_implementation()} {platform.python_version()}",
     }
@@ -259,7 +261,7 @@ def test_rule_pass_not_slower_than_oracle(jz5):
     evaluator = jz5.rule_evaluator
     exprs = [rule.ast() for group in evaluator.groups for rule in group.rules]
     exprs += [rule.ast() for group in evaluator.alert_groups for rule in group.rules]
-    report = paired_rounds(jz5, exprs)
+    report = paired_rounds(jz5, exprs, RULE_ROUNDS)
     _record("rule_pass", report)
     print(f"\n[promql-instant] rules: engine {report['engine_ms_median']:.1f} ms, "
           f"oracle {report['oracle_ms_median']:.1f} ms, ratio {report['ratio_median']:.2f}")
@@ -279,9 +281,9 @@ def test_instant_panels_not_slower_than_oracle(jz5):
     units = sorted(jz5.hot_tsdb.label_values("uuid"))
     uuid = units[len(units) // 2]
     exprs = [p.replace("$job", uuid) for p in panels]
-    report = paired_rounds(jz5, exprs)
+    report = paired_rounds(jz5, exprs, PANEL_ROUNDS)
     # The 10 panels without a subquery, on their own.
-    report["trivial"] = paired_rounds(jz5, [e for e in exprs if "[24h:5m]" not in e])
+    report["trivial"] = paired_rounds(jz5, [e for e in exprs if "[24h:5m]" not in e], PANEL_ROUNDS)
     _record("instant_panels", report)
     print(f"\n[promql-instant] panels: engine {report['engine_ms_median']:.2f} ms, "
           f"oracle {report['oracle_ms_median']:.2f} ms, ratio {report['ratio_median']:.2f}; "

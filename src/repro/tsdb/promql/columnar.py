@@ -412,9 +412,12 @@ class _ColumnarEval:
                     labels.append(series.labels)
                     found.append(point[1])
             touched = n = len(found)
-            values = np.array(found, dtype=np.float64).reshape(n, 1)
-            present = np.empty((n, 1), dtype=bool)
-            present.fill(True)
+            if n:
+                values = np.array(found, dtype=np.float64).reshape(n, 1)
+                present = np.empty((n, 1), dtype=bool)
+                present.fill(True)
+            else:
+                values, present = np.zeros((0, 1)), np.zeros((0, 1), dtype=bool)
         else:
             # Chunk-granular pruning: only samples in
             # [first step - lookback, last step] can be selected, and
