@@ -147,11 +147,12 @@ class DerivedLabels:
     grouping keys, matching signatures) from the same long-lived series
     labels, and a derivation is a pure function of (labels, spec).  One
     memo lives on each engine; it is cleared wholesale when it reaches
-    ``max_entries``, which keeps memory flat under series churn.
+    ``MAX_ENTRIES``, which keeps memory flat under series churn.
     """
 
-    def __init__(self, max_entries: int = 1 << 14) -> None:
-        self.max_entries = max_entries
+    MAX_ENTRIES = 1 << 14
+
+    def __init__(self) -> None:
         self._memo: dict[tuple[Labels, tuple], Labels] = {}
 
     def get(self, labels: Labels, spec: tuple) -> Labels:
@@ -160,7 +161,7 @@ class DerivedLabels:
         if out is None:
             kind, names = spec
             out = labels.drop(*names) if kind == "drop" else labels.keep(names)
-            if len(self._memo) >= self.max_entries:
+            if len(self._memo) >= self.MAX_ENTRIES:
                 self._memo.clear()
             self._memo[key] = out
         return out

@@ -13,12 +13,15 @@ case.  This module checks it against the per-step oracle
   kernels, which evaluate every series of a matrix selector in one
   call over the concatenation of their samples: counter resets right
   at a boundary between two series, rows with no sample in the window,
-  rows made only of staleness markers, and one versus many series.
+  rows made only of staleness markers, and one versus many series;
+* with one engine shared by many threads, as HTTP requests share it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +33,7 @@ from repro.dashboard.grafana_json import all_dashboards
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.storage import TSDB
-from tests.oracles.promql_per_step import assert_instant_identical, assert_range_identical
+from tests.oracles.promql_per_step import PerStepEngine, assert_instant_identical, assert_range_identical
 
 #: Simulated seconds between the evaluation times of the shipped
 #: expressions; the first comes after one gap of warm-up.
@@ -192,3 +195,43 @@ def test_empty_and_all_stale_rows():
     for query in KERNEL_QUERIES + ["count_over_time(c[1m])", "last_over_time(c[1m])"]:
         assert_instant_identical(engine, query, 75.0)
         assert_range_identical(engine, query, 0.0, 120.0, 15.0)
+
+
+def test_shared_engine_under_threads():
+    """HTTP request threads share one engine and its derived-labels
+    memo; clearing the memo under them must never change an answer."""
+    db = TSDB()
+    for g in ("a", "b", "c"):
+        for i in range(4):
+            labels = Labels({"__name__": "c", "grp": g, "idx": str(i)})
+            for k in range(12):
+                db.append(labels, 15.0 * k, float(k * (i + 1)))
+    engine = PromQLEngine(db)
+    engine.derived_labels.MAX_ENTRIES = 4  # force clears mid-query
+    queries = [
+        "sum by (grp) (rate(c[1m]))",
+        "c / on(grp, idx) group_left() c",
+        "count without (idx) (c > 3)",
+    ]
+    oracle = PerStepEngine(db)
+    expected = {q: [(el.labels, el.value) for el in oracle.query(q, 165.0).vector] for q in queries}
+    mismatches: list[str] = []
+
+    def worker() -> None:
+        for _ in range(40):
+            for q in queries:
+                if [(el.labels, el.value) for el in engine.query(q, 165.0).vector] != expected[q]:
+                    mismatches.append(q)
+
+    threads = [threading.Thread(target=worker) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert mismatches == []
