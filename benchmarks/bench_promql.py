@@ -269,7 +269,7 @@ def test_rule_pass_not_slower_than_oracle(jz5):
 
 
 def test_instant_panels_not_slower_than_oracle(jz5):
-    """The 11 instant Grafana panels, ``$job`` bound to a running unit."""
+    """The 11 instant Grafana panels, ``$job`` bound to one unit of the run."""
     panels = [
         target["expr"]
         for dashboard in all_dashboards().values()
