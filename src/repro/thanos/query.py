@@ -15,32 +15,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-import numpy as np
-
-from repro.tsdb.model import Labels, Matcher
-from repro.tsdb.storage import Series, TSDB
+from repro.tsdb.model import Matcher
+from repro.tsdb.storage import TSDB
 from repro.thanos.store import ObjectStore
-
-
-def merge_series(primary: Series | None, secondary: Series | None, labels: Labels) -> Series:
-    """Merge two sample streams; primary wins on timestamp collisions."""
-    if primary is None and secondary is None:
-        return Series(labels=labels)
-    if secondary is None:
-        return primary  # type: ignore[return-value]
-    if primary is None:
-        return secondary
-    p_ts = np.asarray(primary.timestamps)
-    s_ts = np.asarray(secondary.timestamps)
-    # Keep secondary samples not present (by timestamp) in primary.
-    keep = ~np.isin(s_ts, p_ts)
-    ts = np.concatenate([s_ts[keep], p_ts])
-    vs = np.concatenate([np.asarray(secondary.values)[keep], np.asarray(primary.values)])
-    order = np.argsort(ts, kind="stable")
-    merged = Series(labels=labels)
-    merged.timestamps = ts[order].tolist()
-    merged.values = vs[order].tolist()
-    return merged
 
 
 class ResolutionView:
@@ -73,8 +50,8 @@ class FanoutStorage:
     """Hot + store querier with dedup.
 
     Merged selector results are memoised keyed by the matcher tuple.
-    Unlike the in-TSDB memo (which survives appends because ``Series``
-    mutate in place), a merged view is frozen at merge time, so the
+    Unlike the in-TSDB memo (which survives appends because head
+    series mutate in place), a merged view is frozen at merge time, so the
     memo entry is validated against the data epochs of both backends
     (plus the store's chunk-index generation) and rebuilt whenever
     either side mutated.  A dashboard burst or a columnar range query
@@ -119,7 +96,7 @@ class FanoutStorage:
             raw_version = (raw.series_epoch, raw.data_epoch)
         return (self.hot.series_epoch, self.hot.data_epoch) + tuple(raw_version)
 
-    def select(self, matchers: Sequence[Matcher]) -> list[Series]:
+    def select(self, matchers: Sequence[Matcher]) -> list:
         if self.telemetry is not None:
             with self.telemetry.child_span("fanout.select") as span:
                 result = self._select(matchers)
@@ -128,7 +105,7 @@ class FanoutStorage:
                 return result
         return self._select(matchers)
 
-    def _select(self, matchers: Sequence[Matcher]) -> list[Series]:
+    def _select(self, matchers: Sequence[Matcher]) -> list:
         key = tuple(matchers)
         epochs = self._epochs()
         cached = self._select_cache.get(key)

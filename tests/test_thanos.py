@@ -5,12 +5,13 @@ import pytest
 
 from repro.common.errors import StorageError
 from repro.thanos.compact import Compactor, _downsample_series
-from repro.thanos.query import FanoutStorage, merge_series
+from repro.thanos.query import FanoutStorage
 from repro.thanos.sidecar import Sidecar
 from repro.thanos.store import BlockMeta, ObjectStore
 from repro.tsdb.model import Labels, Matcher
 from repro.tsdb.promql.engine import PromQLEngine
-from repro.tsdb.storage import TSDB, Series
+from repro.tsdb.persist.chunkio import MergedSeries
+from repro.tsdb.storage import TSDB, ColumnarSeries
 
 
 def mk(name: str, **labels: str) -> Labels:
@@ -182,23 +183,41 @@ class TestObjectStore:
 class TestFanout:
     def test_merge_prefers_primary(self):
         labels = mk("m")
-        hot = Series(labels=labels)
+        hot = ColumnarSeries(labels)
         hot.append(10.0, 100.0)
         hot.append(20.0, 200.0)
-        cold = Series(labels=labels)
+        cold = ColumnarSeries(labels)
         cold.append(0.0, -1.0)
         cold.append(10.0, -2.0)  # overlapping timestamp: hot wins
-        merged = merge_series(hot, cold, labels)
+        # the window-pruned read merges on the fly ...
+        ts, vs = MergedSeries(hot, cold).window(0.0, 20.0)
+        assert ts.tolist() == [0.0, 10.0, 20.0]
+        assert vs.tolist() == [-1.0, 100.0, 200.0]
+        # ... and the whole-series read agrees
+        merged = MergedSeries(hot, cold)
+        assert merged.labels == labels
         assert merged.timestamps == [0.0, 10.0, 20.0]
         assert merged.values == [-1.0, 100.0, 200.0]
 
     def test_merge_handles_missing_sides(self):
         labels = mk("m")
-        only = Series(labels=labels)
+        only = ColumnarSeries(labels)
         only.append(1.0, 1.0)
-        assert merge_series(only, None, labels) is only
-        assert merge_series(None, only, labels) is only
-        assert merge_series(None, None, labels).nsamples == 0
+        empty = ColumnarSeries(labels)
+        only_ts, only_vs = only.arrays()
+        for merged in (MergedSeries(only, empty), MergedSeries(empty, only)):
+            ts, vs = merged.arrays()
+            assert ts is only_ts and vs is only_vs  # passed through, not copied
+        assert MergedSeries(empty, ColumnarSeries(labels)).nsamples == 0
+        # a series on one side only is served as that side's own object
+        hot = TSDB()
+        hot.append(mk("m", side="hot"), 1.0, 1.0)
+        store = ObjectStore()
+        store.tsdb("raw").append(mk("m", side="store"), 1.0, 2.0)
+        selected = FanoutStorage(hot, store).select([Matcher.name_eq("m")])
+        assert [type(s) for s in selected] == [ColumnarSeries, ColumnarSeries]
+        assert selected[0] is hot.all_series()[0]
+        assert selected[1] is store.tsdb("raw").all_series()[0]
 
     def test_fanout_spans_hot_and_store(self):
         hot = TSDB(retention=3600.0)
