@@ -15,17 +15,22 @@ recent tail of a much longer history.
 
 * **baseline** — eager store: opening decodes every chunk of every
   block into per-resolution TSDBs using the original list-backed head
-  (``head_layout="list"``), then the engine queries those series.
+  (the oracle ``tests/oracles/list_head.py``), then the engine
+  queries those series.
 * **new** — lazy store (``lazy_blocks=True``): opening registers
   chunk references only; the query decodes just the chunks
   overlapping its window through the decoded-chunk LRU.
 
 Cycles interleave baseline/new so machine-load drift hits both modes
-alike; best-of is reported.  The differential proof runs the same
+alike; best-of is reported.  A third store, eager on the production
+columnar head, is timed in the same rounds and *reported only*
+(``eager_columnar_*`` and the warm ``lazy/eager-columnar`` ratio): it
+is the comparison that decides whether lazy blocks can become the
+only persisted-store mode.  The differential proof runs the same
 query set through both stores and requires bit-identical results
 (``tobytes`` on every series).  A second guard re-times the ingest
-hot loop (``append_refs``, the scrape lane) on a columnar-head vs a
-list-head TSDB — the columnar head must never be slower.
+hot loop (``append_refs``, the scrape lane) on a columnar-head TSDB vs
+the list-head oracle — the columnar head must never be slower.
 
 The hard CI guards are ``>= MIN_QUERY_SPEEDUP`` (issue target: 5x)
 and ingest never slower; numbers land in
@@ -44,6 +49,7 @@ from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import PromQLEngine
 from repro.tsdb.storage import TSDB
 from repro.thanos.store import RESOLUTIONS, ObjectStore
+from tests.oracles.list_head import ListHeadTSDB
 
 ARTIFACT_PATH = "BENCH_query_over_chunks.json"
 
@@ -114,12 +120,15 @@ def _open_eager_list(persist_dir: str) -> ObjectStore:
     the original head layout.
     """
     store = ObjectStore()
-    store.tsdbs = {
-        res: TSDB(name=f"thanos-{res}", head_layout="list") for res in RESOLUTIONS
-    }
+    store.tsdbs = {res: ListHeadTSDB(name=f"thanos-{res}") for res in RESOLUTIONS}
     store.persist_dir = persist_dir
     store._load_persisted()
     return store
+
+
+def _open_eager_columnar(persist_dir: str) -> ObjectStore:
+    """Eager open on the production head (reported, not guarded)."""
+    return ObjectStore(persist_dir=persist_dir)
 
 
 def _open_lazy(persist_dir: str) -> ObjectStore:
@@ -175,12 +184,17 @@ def test_query_over_chunks_speedup(tmp_path):
     persist_dir = str(tmp_path / "store")
     total_samples = _write_blocks(persist_dir)
 
-    eager_best = lazy_best = math.inf
+    eager_best = columnar_cold = lazy_best = math.inf
     for _ in range(CYCLES):
         started = time.perf_counter()
         eager = _open_eager_list(persist_dir)
         _run_query(eager)
         eager_best = min(eager_best, time.perf_counter() - started)
+
+        started = time.perf_counter()
+        eager_columnar = _open_eager_columnar(persist_dir)
+        _run_query(eager_columnar)
+        columnar_cold = min(columnar_cold, time.perf_counter() - started)
 
         started = time.perf_counter()
         lazy = _open_lazy(persist_dir)
@@ -191,11 +205,14 @@ def test_query_over_chunks_speedup(tmp_path):
 
     # Warm repeats on the final stores: the decoded-chunk LRU makes a
     # repeat lazy query decode nothing.
-    eager_warm = lazy_warm = math.inf
+    eager_warm = columnar_warm = lazy_warm = math.inf
     for _ in range(CYCLES):
         started = time.perf_counter()
         _run_query(eager)
         eager_warm = min(eager_warm, time.perf_counter() - started)
+        started = time.perf_counter()
+        _run_query(eager_columnar)
+        columnar_warm = min(columnar_warm, time.perf_counter() - started)
         started = time.perf_counter()
         _run_query(lazy)
         lazy_warm = min(lazy_warm, time.perf_counter() - started)
@@ -207,8 +224,8 @@ def test_query_over_chunks_speedup(tmp_path):
     # on the scrape hot lane (interleaved best-of, fresh TSDBs).
     list_best = columnar_best = math.inf
     for _ in range(3):
-        list_best = min(list_best, _bench_ingest(TSDB(head_layout="list")))
-        columnar_best = min(columnar_best, _bench_ingest(TSDB(head_layout="columnar")))
+        list_best = min(list_best, _bench_ingest(ListHeadTSDB()))
+        columnar_best = min(columnar_best, _bench_ingest(TSDB()))
     ingest_speedup = list_best / columnar_best
 
     report = {
@@ -224,6 +241,9 @@ def test_query_over_chunks_speedup(tmp_path):
         "cold_speedup": cold_speedup,
         "eager_warm_seconds": eager_warm,
         "lazy_warm_seconds": lazy_warm,
+        "eager_columnar_cold_seconds": columnar_cold,
+        "eager_columnar_warm_seconds": columnar_warm,
+        "warm_lazy_over_eager_columnar": lazy_warm / columnar_warm,
         "ingest_list_cycle_seconds": list_best,
         "ingest_columnar_cycle_seconds": columnar_best,
         "ingest_speedup": ingest_speedup,

@@ -34,6 +34,7 @@ from repro.common.auth import make_basic_auth_header
 from repro.common.httpx import Request, Response
 from repro.tsdb.scrape import ScrapeConfig, ScrapeManager, ScrapeTarget
 from repro.tsdb.storage import TSDB
+from tests.oracles.scrape_reference import ReferenceScrapeManager
 
 ARTIFACT_PATH = "BENCH_scrape_fastpath.json"
 
@@ -78,13 +79,13 @@ def _snapshot(replays) -> None:
         replay.snapshot(Request.from_url("GET", target.metrics_path, headers=headers))
 
 
-def _manager(replays, use_cache: bool, workers: int = 0) -> ScrapeManager:
+def _manager(replays, manager_cls: type[ScrapeManager]) -> ScrapeManager:
     """A manager whose targets point at the replay stubs.
 
     Each manager needs its own target objects — targets carry the
     scrape cache and staleness bookkeeping.
     """
-    manager = ScrapeManager(TSDB(), ScrapeConfig(use_cache=use_cache, workers=workers))
+    manager = manager_cls(TSDB(), ScrapeConfig())
     manager.add_targets(
         [
             ScrapeTarget(
@@ -117,8 +118,8 @@ def test_scrape_fastpath_speedup():
     replays = _replays(sim.scrape_manager.targets)
     n_targets = len(replays)
 
-    reference = _manager(replays, use_cache=False)
-    fast = _manager(replays, use_cache=True)
+    reference = _manager(replays, ReferenceScrapeManager)
+    fast = _manager(replays, ScrapeManager)
 
     # Two warm-up cycles: the first is all misses by construction,
     # and the exporters' own middleware series (request counters)

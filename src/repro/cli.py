@@ -46,9 +46,6 @@ def _build_sim(args: argparse.Namespace) -> StackSimulation:
             slow_query_ms=getattr(args, "slow_query_ms", 100.0),
             query_log=getattr(args, "query_log", ""),
             active_query_journal=getattr(args, "active_query_journal", ""),
-            scrape_workers=getattr(args, "scrape_workers", 0),
-            scrape_cache=not getattr(args, "no_scrape_cache", False),
-            head_layout=getattr(args, "head_layout", "columnar"),
             lazy_blocks=getattr(args, "lazy_blocks", False),
             decode_cache_chunks=getattr(args, "decode_cache_chunks", 0),
             alert_interval=getattr(args, "alert_interval", 60.0),
@@ -330,28 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
             dest="active_query_journal",
             help="base path for the crash-surviving active-query journals "
             "(one file per Prometheus backend)",
-        )
-        p.add_argument(
-            "--scrape-workers",
-            type=int,
-            default=0,
-            dest="scrape_workers",
-            help="scrape fetch-phase worker threads (<=1 scrapes serially; "
-            "results are identical for any value)",
-        )
-        p.add_argument(
-            "--no-scrape-cache",
-            action="store_true",
-            dest="no_scrape_cache",
-            help="disable the per-target scrape cache (reference ingest path)",
-        )
-        p.add_argument(
-            "--head-layout",
-            choices=("columnar", "list"),
-            default="columnar",
-            dest="head_layout",
-            help="head series layout: numpy ring buffers (columnar, default) "
-            "or the list-based reference implementation",
         )
         p.add_argument(
             "--lazy-blocks",

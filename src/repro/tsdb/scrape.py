@@ -16,11 +16,11 @@ will scrape these compute nodes at a configured interval"*):
   like Prometheus, and per-scrape duration/sample counts are kept for
   the benchmarks.
 
-Scrape fast lane
-----------------
+Scrape lane
+-----------
 At Jean-Zay scale (~1700 targets) re-parsing every label set and
-re-hashing every ``Labels`` key each cycle dominates the duty cycle,
-so the manager mirrors Prometheus's ingest optimisations:
+re-hashing every ``Labels`` key each cycle would dominate the duty
+cycle, so the manager mirrors Prometheus's ingest optimisations:
 
 * a per-target :class:`ScrapeCache` keyed on each sample line's raw
   ``name{labels}`` text maps straight to an interned ``Labels`` and a
@@ -33,20 +33,20 @@ so the manager mirrors Prometheus's ingest optimisations:
   re-resolved through their labels, exactly like Prometheus re-lodges
   a head ref miss.
 * each cycle is split into a **fetch** phase (HTTP + decode + parse +
-  cache resolution, safe to run on a worker pool because it never
-  touches storage) and an **apply** phase that commits per-target
-  batches to the TSDB in registration order — results are identical
-  for any worker count, see DESIGN.md.
+  cache resolution; it never touches storage) and an **apply** phase
+  that commits per-target batches to the TSDB in registration order.
+  Targets are in-process apps, so fetches run serially: threads would
+  only contend for the interpreter lock.
 
-The cache-disabled path (``ScrapeConfig(use_cache=False)``) keeps the
-original parse-everything implementation and is the differential
-reference the fast lane is tested against bit-for-bit.
+This is the only ingest path.  The original parse-everything lane
+(``exposition.parse`` + per-sample append by ``Labels``) is the
+differential-testing oracle in ``tests/oracles/scrape_reference.py``;
+the lane is checked against it bit for bit.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.common.auth import make_basic_auth_header
@@ -67,7 +67,7 @@ class _CacheEntry:
 
     labels: Labels
     #: TSDB series ref; 0 until the apply phase first resolves it
-    #: (workers must not touch storage).
+    #: (the fetch phase never touches storage).
     ref: int
     last_gen: int
 
@@ -130,11 +130,9 @@ class ScrapeTarget:
     last_scrape_samples: int = 0
     scrapes_total: int = 0
     scrape_failures_total: int = 0
-    #: Series seen in the previous successful scrape; series absent
-    #: from the next scrape get a staleness marker.  The reference
-    #: (cache-disabled) path tracks ``Labels``; the fast lane tracks
-    #: ``ref -> Labels`` so the staleness pass stays on refs.
-    _previous_series: set = field(default_factory=set, repr=False)
+    #: Series seen in the previous successful scrape (``ref ->
+    #: Labels``); series absent from the next scrape get a staleness
+    #: marker, and the pass stays on refs.
     _previous_refs: dict = field(default_factory=dict, repr=False)
     _cache: ScrapeCache = field(default_factory=ScrapeCache, repr=False)
     _up_labels: Labels | None = field(default=None, repr=False)
@@ -158,12 +156,6 @@ class ScrapeConfig:
     timeout: float = 10.0
     #: Run storage retention every this many scrape cycles.
     retention_every: int = 40
-    #: Fetch-phase worker threads; <=1 scrapes serially.  Apply stays
-    #: single-threaded and ordered either way.
-    workers: int = 0
-    #: Disable to force the reference parse-everything path (the
-    #: differential baseline; also what ``--no-scrape-cache`` sets).
-    use_cache: bool = True
 
 
 @dataclass
@@ -174,14 +166,11 @@ class _ScrapeResult:
     ok: bool = False
     error: str = ""
     duration: float = 0.0
-    #: fast lane: line-ordered (cache entry, value) pairs
-    ref_batch: list | None = None
-    #: reference path: family-ordered (Labels, value) pairs
-    labels_batch: list | None = None
-    #: exemplar-carrying lines, in line order: ``(entry, Exemplar)``
-    #: on the fast lane, ``(Labels, Exemplar)`` on the reference path.
-    #: Kept separate from the sample batches so the sample hot loops
-    #: stay two-tuples.
+    #: line-ordered (cache entry, value) pairs
+    batch: list | None = None
+    #: exemplar-carrying lines, in line order: ``(entry, Exemplar)``.
+    #: Kept separate from the sample batch so the sample hot loop
+    #: stays on two-tuples.
     exemplars: list | None = None
     hits: int = 0
     misses: int = 0
@@ -223,8 +212,8 @@ class ScrapeManager:
         for t in targets:
             self.add_target(t)
 
-    # -- fetch phase (storage-free; may run on worker threads) -----------
-    def _parse_cached(
+    # -- fetch phase (storage-free) ------------------------------------------
+    def _parse(
         self, target: ScrapeTarget, text: str
     ) -> tuple[list, list, int, int]:
         """Parse exposition text through the target's scrape cache.
@@ -236,7 +225,7 @@ class ScrapeManager:
         comment validation, every cache miss and every exemplar suffix
         go through the same shared helpers, and the hit path re-checks
         value/timestamp tokens the same way — a payload is accepted or
-        rejected identically on both paths.
+        rejected exactly as the full parser would.
         """
         cache = target._cache
         cache.gen += 1
@@ -277,9 +266,9 @@ class ScrapeManager:
             # timestamp tokens of any *valid* line cannot contain '}',
             # so the last '}' is the closing brace; lines without one
             # are bare `name value [ts]`; anything structurally odd
-            # falls through to the reference parser and fails
+            # falls through to the full line parser and fails
             # identically (keys only enter the cache after a full
-            # reference parse succeeds).
+            # parse succeeds).
             end = line.rfind("}")
             if end != -1:
                 key = line[: end + 1]
@@ -317,10 +306,10 @@ class ScrapeManager:
                     append((entry, value))
                     hits += 1
                     continue
-            # miss (or structurally odd line): reference parse + full
+            # miss (or structurally odd line): full line parse + full
             # Labels validation before anything enters the cache.  The
             # *full* line goes through, so the exemplar suffix is
-            # parsed by exactly the reference helper too.
+            # parsed by exactly the shared helper too.
             name, labels, value, _ts, exemplar = exposition.parse_sample_line(
                 full_line, lineno
             )
@@ -340,8 +329,7 @@ class ScrapeManager:
         """HTTP + decode + parse + cache resolution for one target.
 
         Touches only the target and its private cache — never the
-        TSDB — so any number of fetches may run concurrently while
-        the apply phase stays single-threaded and deterministic.
+        TSDB; :meth:`_apply` commits the result.
         """
         target.scrapes_total += 1
         started = time.perf_counter()
@@ -355,25 +343,10 @@ class ScrapeManager:
                 raise ScrapeError(f"scrape returned HTTP {response.status}")
             body = response.body.decode()
             with prof.profile("scrape.parse"):
-                if self.config.use_cache:
-                    batch, exemplars, hits, misses = self._parse_cached(target, body)
-                    result.ref_batch = batch
-                    result.exemplars = exemplars
-                    result.hits = hits
-                    result.misses = misses
-                    result.evictions = target._cache.evict_stale()
-                else:
-                    identity = target.identity_labels()
-                    labels_batch: list = []
-                    exemplars = []
-                    for family in exposition.parse(body):
-                        for point in family.points:
-                            labels = exposition.to_labels(family.name, point, identity)
-                            labels_batch.append((labels, point.value))
-                            if point.exemplar is not None:
-                                exemplars.append((labels, point.exemplar))
-                    result.labels_batch = labels_batch
-                    result.exemplars = exemplars
+                result.batch, result.exemplars, result.hits, result.misses = self._parse(
+                    target, body
+                )
+                result.evictions = target._cache.evict_stale()
             result.ok = True
         except Exception as exc:  # noqa: BLE001 — one bad node must
             # never stall the cluster scrape: a non-UTF-8 body, a bad
@@ -391,14 +364,7 @@ class ScrapeManager:
         storage = self.storage
         samples = 0
         if result.ok:
-            if result.ref_batch is not None:
-                samples = self._apply_refs(
-                    target, result.ref_batch, now, result.exemplars
-                )
-            else:
-                samples = self._apply_labels(
-                    target, result.labels_batch, now, result.exemplars
-                )
+            samples = self._apply_samples(target, result.batch, now, result.exemplars)
             target.last_scrape_ok = True
         else:
             target.scrape_failures_total += 1
@@ -407,9 +373,6 @@ class ScrapeManager:
             # a failed target so instant queries stop returning zombie
             # values the moment the node dies, instead of after the
             # lookback window.
-            for labels in target._previous_series:
-                storage.append(labels, now, _STALE)
-            target._previous_series = set()
             for ref, labels in target._previous_refs.items():
                 if storage.resolve_ref(ref) is not None:
                     storage.append_ref(ref, now, _STALE)
@@ -424,10 +387,10 @@ class ScrapeManager:
         self.cache_evictions_total += result.evictions
         return samples
 
-    def _apply_refs(
+    def _apply_samples(
         self, target: ScrapeTarget, batch: list, now: float, exemplars: list | None = None
     ) -> int:
-        """Fast lane: batched append by ref + ref-set staleness pass."""
+        """Batched append by ref + ref-set staleness pass."""
         storage = self.storage
         get_ref = storage.get_ref
         pairs: list[tuple[int, float]] = []
@@ -440,9 +403,9 @@ class ScrapeManager:
         if dead:
             # Refs that died since the last cycle (retention or
             # delete_series dropped the series): re-resolve through
-            # labels — recreating the series exactly like the
-            # reference path's plain append — and heal the cache
-            # entries so the next cycle is back on the fast path.
+            # labels — recreating the series exactly like a plain
+            # append by labels — and heal the cache entries so the
+            # next cycle is back on refs.
             dead_refs = {ref for ref, _ in dead}
             for i, (entry, value) in enumerate(batch):
                 if pairs[i][0] in dead_refs:
@@ -474,32 +437,13 @@ class ScrapeManager:
                     continue
                 # The prev ref died; its labels may have been
                 # re-scraped this cycle under a fresh ref, in which
-                # case the series is live, not stale (the reference
-                # path compares Labels sets and would skip it).
+                # case the series is live, not stale (staleness is
+                # defined on label sets, not on refs).
                 if seen_labels is None:
                     seen_labels = set(new_prev.values())
                 if labels not in seen_labels:
                     storage.append(labels, now, _STALE)
         target._previous_refs = new_prev
-        return samples
-
-    def _apply_labels(
-        self, target: ScrapeTarget, batch: list, now: float, exemplars: list | None = None
-    ) -> int:
-        """Reference path: per-sample append by Labels (the baseline)."""
-        storage = self.storage
-        seen: set[Labels] = set()
-        samples = 0
-        for labels, value in batch:
-            storage.append(labels, now, value)
-            seen.add(labels)
-            samples += 1
-        if exemplars:
-            for labels, exemplar in exemplars:
-                storage.append_exemplar(labels, exemplar, now)
-        for labels in target._previous_series - seen:
-            storage.append(labels, now, _STALE)
-        target._previous_series = seen
         return samples
 
     # -- scraping ---------------------------------------------------------
@@ -524,17 +468,7 @@ class ScrapeManager:
 
     def _scrape_all(self, now: float) -> int:
         started = time.perf_counter()
-        workers = self.config.workers
-        if workers > 1 and len(self.targets) > 1:
-            # Workers only fetch (HTTP + parse + cache resolution);
-            # map() yields results in submission order, and the apply
-            # loop below commits them to storage one at a time — so
-            # the TSDB sees the exact same operations in the exact
-            # same order as a serial cycle, for any worker count.
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(lambda t: self._fetch(t, now), self.targets))
-        else:
-            results = [self._fetch(target, now) for target in self.targets]
+        results = [self._fetch(target, now) for target in self.targets]
         with prof.profile("scrape.append"):
             total = sum(self._apply(result, now) for result in results)
         self._cycles += 1

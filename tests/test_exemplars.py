@@ -1,9 +1,10 @@
 """Exemplar pipeline: storage, capture, sampling, endpoints, parity.
 
 The end-to-end exemplar story (registry capture → exposition →
-scrape, both lanes → CircularExemplarStorage → /api/v1/query_exemplars)
-is covered layer by layer here; the full drill-down against a running
-simulation lives in tests/integration/test_exemplars_e2e.py.
+scrape, checked against its parse-everything oracle →
+CircularExemplarStorage → /api/v1/query_exemplars) is covered layer
+by layer here; the full drill-down against a running simulation lives
+in tests/integration/test_exemplars_e2e.py.
 """
 
 import math
@@ -22,6 +23,8 @@ from repro.tsdb.http import PromAPI
 from repro.tsdb.model import Labels, Matcher
 from repro.tsdb.scrape import ScrapeConfig, ScrapeManager, ScrapeTarget
 from repro.tsdb.storage import TSDB, CircularExemplarStorage
+from tests.oracles.list_head import ListHeadTSDB
+from tests.oracles.scrape_reference import ReferenceScrapeManager
 
 
 def _labels(**kv):
@@ -458,7 +461,7 @@ class TestPromAPIEndpoints:
         assert body["data"]["exemplarCount"] == 1
 
 
-# -- differential: fast lane vs reference -----------------------------------
+# -- differential: scrape lane vs oracle -------------------------------------
 
 
 def make_exporter(families_fn) -> App:
@@ -511,10 +514,12 @@ def exemplar_churn_families(cycle: int):
     return fam2
 
 
-def run_exemplar_cycles(use_cache: bool, cycles: int = 6, delete_at: int | None = None):
+def run_exemplar_cycles(fast: bool, cycles: int = 6, delete_at: int | None = None):
+    """Scrape the churning payload with the production manager, or the
+    parse-everything oracle when ``fast`` is off."""
     db = TSDB()
     db.exemplars.per_series = 3  # force per-series eviction in the run
-    manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+    manager = (ScrapeManager if fast else ReferenceScrapeManager)(db)
     state = {"n": -1}
 
     def families():
@@ -533,22 +538,22 @@ def run_exemplar_cycles(use_cache: bool, cycles: int = 6, delete_at: int | None 
 
 class TestExemplarDifferential:
     def test_bit_identical_across_churn_and_ring_eviction(self):
-        ref = run_exemplar_cycles(use_cache=False)
-        fast = run_exemplar_cycles(use_cache=True)
+        ref = run_exemplar_cycles(fast=False)
+        fast = run_exemplar_cycles(fast=True)
         assert dump_exemplars(ref) == dump_exemplars(fast)
         assert ref.exemplars.appended_total == fast.exemplars.appended_total
         assert ref.exemplars.dropped_total == fast.exemplars.dropped_total
         assert dump_exemplars(ref)  # non-vacuous
 
     def test_bit_identical_across_series_deletion(self):
-        ref = run_exemplar_cycles(use_cache=False, delete_at=3)
-        fast = run_exemplar_cycles(use_cache=True, delete_at=3)
+        ref = run_exemplar_cycles(fast=False, delete_at=3)
+        fast = run_exemplar_cycles(fast=True, delete_at=3)
         assert dump_exemplars(ref) == dump_exemplars(fast)
 
     def test_bit_identical_for_list_head_layout(self):
-        def run(use_cache):
-            db = TSDB(head_layout="list")
-            manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+        def run(manager_cls):
+            db = ListHeadTSDB()
+            manager = manager_cls(db)
             state = {"n": -1}
 
             def families():
@@ -562,7 +567,7 @@ class TestExemplarDifferential:
                 manager.scrape_all(now=15.0 * (i + 1))
             return db
 
-        assert dump_exemplars(run(False)) == dump_exemplars(run(True))
+        assert dump_exemplars(run(ReferenceScrapeManager)) == dump_exemplars(run(ScrapeManager))
 
     def test_doubly_malformed_line_same_error_both_paths(self):
         """Bad sample value AND bad exemplar: the sample error wins on
@@ -578,7 +583,7 @@ class TestExemplarDifferential:
         )
         app = App("fake")
         app.router.get("/metrics", lambda req: Response.text(next(payloads)))
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=True))
+        manager = ScrapeManager(db)
         target = ScrapeTarget(app=app, instance="i", job="j")
         manager.add_target(target)
         manager.scrape_all(now=15.0)
@@ -587,7 +592,7 @@ class TestExemplarDifferential:
         assert str(ref_err.value).split(":", 1)[1] in repr(ref_err.value)
 
     def test_exemplar_self_telemetry_gauges(self):
-        db = run_exemplar_cycles(use_cache=True, cycles=3)
+        db = run_exemplar_cycles(fast=True, cycles=3)
         manager = ScrapeManager(db, ScrapeConfig())
         telemetry = Telemetry("t")
         manager.register_metrics(telemetry.registry)

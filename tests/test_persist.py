@@ -43,6 +43,7 @@ from repro.thanos.compact import Compactor
 from repro.thanos.query import FanoutStorage
 from repro.thanos.sidecar import Sidecar
 from repro.thanos.store import ObjectStore
+from tests.oracles.list_head import ListHeadPersistentTSDB, ListHeadTSDB, ListSeries
 
 
 def bits_of(values) -> list[int]:
@@ -576,18 +577,19 @@ class TestConfigWiring:
 
 
 class TestHeadLayoutParity:
-    """Columnar ring-buffer head vs list head, driven in lockstep.
+    """Columnar ring-buffer head vs the list-head oracle, in lockstep.
 
-    Every mutation the TSDB supports runs against one instance of each
-    ``head_layout``; after each phase the two heads must hold
-    bit-identical ``arrays()`` and answer windows identically.  The
-    WAL test extends the lockstep across a restart: both layouts
-    replay the same journal and must converge on the same state.
+    Every mutation the TSDB supports runs against the production head
+    and :class:`ListHeadTSDB` (``tests/oracles/list_head.py``); after
+    each phase the two heads must hold bit-identical ``arrays()`` and
+    answer windows identically.  The WAL test extends the lockstep
+    across a restart: both heads replay the same journal and must
+    converge on the same state.
     """
 
     @staticmethod
     def _both(**kwargs) -> dict[str, TSDB]:
-        return {hl: TSDB(name=hl, head_layout=hl, **kwargs) for hl in ("list", "columnar")}
+        return {"list": ListHeadTSDB(name="list", **kwargs), "columnar": TSDB(name="columnar", **kwargs)}
 
     @staticmethod
     def _assert_identical(dbs):
@@ -656,26 +658,21 @@ class TestHeadLayoutParity:
         assert dbs["list"].num_samples == dbs["columnar"].num_samples
 
     def test_wal_restart_parity(self, tmp_path):
-        dbs = {
-            hl: PersistentTSDB(str(tmp_path / hl), head_layout=hl)
-            for hl in ("list", "columnar")
-        }
+        heads = {"list": ListHeadPersistentTSDB, "columnar": PersistentTSDB}
+        dbs = {hl: cls(str(tmp_path / hl)) for hl, cls in heads.items()}
         for t in range(150):
             for i in range(3):
                 for db in dbs.values():
                     db.append(series_labels(i), 30.0 * t, float(i * 1000 + t))
         for db in dbs.values():
             db.close()
-        reopened = {
-            hl: PersistentTSDB(str(tmp_path / hl), head_layout=hl)
-            for hl in ("list", "columnar")
-        }
+        reopened = {hl: cls(str(tmp_path / hl)) for hl, cls in heads.items()}
         self._assert_identical(reopened)
-        assert reopened["columnar"].head_layout == "columnar"
-        # replayed samples landed in ColumnarSeries, not list Series
+        # replayed samples landed in each head's own series type
         from repro.tsdb.storage import ColumnarSeries
 
         assert all(isinstance(s, ColumnarSeries) for s in reopened["columnar"].all_series())
+        assert all(isinstance(s, ListSeries) for s in reopened["list"].all_series())
         for db in reopened.values():
             db.close()
 
@@ -683,7 +680,7 @@ class TestHeadLayoutParity:
         """Sealed mini-chunks + tail chunk reproduce arrays() bit-for-bit."""
         from repro.tsdb.persist.chunkio import TailChunk
 
-        db = TSDB(head_layout="columnar")
+        db = TSDB()
         rng = np.random.default_rng(3)
         for t in range(500):
             db.append(series_labels(0), 15.0 * t, float(rng.standard_normal()))

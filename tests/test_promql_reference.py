@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 from repro.tsdb.model import Labels
 from repro.tsdb.promql.engine import DEFAULT_LOOKBACK, PromQLEngine
 from repro.tsdb.storage import TSDB
+from tests.oracles.list_head import ListHeadTSDB
 from tests.oracles.promql_per_step import (
     assert_instant_identical,
     assert_range_identical,
@@ -48,8 +49,13 @@ _series_strategy = st.dictionaries(
 )
 
 
-def build_db(layout, head_layout: str = "columnar") -> TSDB:
-    db = TSDB(head_layout=head_layout)
+#: Head implementations the layout differential compares: the list-head
+#: oracle and the production columnar head.
+HEADS = {"list": ListHeadTSDB, "columnar": TSDB}
+
+
+def build_db(layout, head: type[TSDB] = TSDB) -> TSDB:
+    db = head()
     for (group, idx), points in layout.items():
         labels = Labels({"__name__": "m", "grp": group, "idx": idx})
         dedup = sorted({t: v for t, v in points}.items())
@@ -337,11 +343,11 @@ def test_columnar_many_to_many_error_identical():
 
 
 # ---------------------------------------------------------------------------
-# Differential harness: columnar head layout vs list head layout.
+# Differential harness: columnar head vs the list-head oracle.
 # ---------------------------------------------------------------------------
 #
-# The ring-buffer head (``head_layout="columnar"``) must be
-# *observationally identical* to the original list-backed head: same
+# The ring-buffer head must be *observationally identical* to the
+# list-backed head in ``tests/oracles/list_head.py``: same
 # PromQL answers, bit for bit, under the engine and the per-step oracle.  The
 # hypothesis sweep feeds the same random layout (staleness markers
 # included) into one TSDB of each layout and compares engine output
@@ -402,7 +408,7 @@ LAYOUT_QUERIES = [
 )
 def test_head_layouts_identical(query, layout, start, span, step):
     engines = {
-        hl: PromQLEngine(build_db(layout, head_layout=hl)) for hl in ("list", "columnar")
+        hl: PromQLEngine(build_db(layout, head)) for hl, head in HEADS.items()
     }
     assert_layouts_identical(engines, query, float(start), float(start + span), step)
 
@@ -416,7 +422,7 @@ def test_head_layouts_identical_dense_with_seal_and_trim():
     exercising the lazy-reseal path.  The list head sees the exact
     same mutations and every engine answer must stay bit-identical.
     """
-    dbs = {hl: TSDB(head_layout=hl) for hl in ("list", "columnar")}
+    dbs = {hl: head() for hl, head in HEADS.items()}
     rng = np.random.default_rng(7)
     all_labels = [
         Labels({"__name__": "m", "grp": g, "idx": str(i)})

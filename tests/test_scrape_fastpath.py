@@ -1,10 +1,10 @@
 """Scrape fast lane: differential proof, cache behaviour, resilience.
 
-The fast lane (per-target scrape cache + append-by-ref + optional
-worker pool) must be **bit-identical** to the cache-disabled reference
-path: same series set, same sample values, same staleness markers —
-across structure churn, retention, and series deletion.  These tests
-are the harness behind that claim.
+The scrape lane (per-target scrape cache + append-by-ref) must be
+**bit-identical** to the parse-everything oracle
+(``tests/oracles/scrape_reference.py``): same series set, same sample
+values, same staleness markers — across structure churn, retention,
+and series deletion.  These tests are the harness behind that claim.
 """
 
 import math
@@ -17,6 +17,7 @@ from repro.tsdb import exposition
 from repro.tsdb.model import Labels, Matcher
 from repro.tsdb.scrape import ScrapeCache, ScrapeConfig, ScrapeManager, ScrapeTarget
 from repro.tsdb.storage import TSDB
+from tests.oracles.scrape_reference import ReferenceScrapeManager
 
 
 def make_exporter(families_fn) -> App:
@@ -46,9 +47,14 @@ def churn_families(cycle: int):
     return [fam, counters]
 
 
-def run_cycles(use_cache: bool, workers: int = 0, cycles: int = 6, db: TSDB | None = None):
+def make_manager(fast: bool, db: TSDB, config: ScrapeConfig | None = None) -> ScrapeManager:
+    """The production scrape manager, or the oracle when ``fast`` is off."""
+    return (ScrapeManager if fast else ReferenceScrapeManager)(db, config)
+
+
+def run_cycles(fast: bool, cycles: int = 6, db: TSDB | None = None):
     db = db if db is not None else TSDB()
-    manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache, workers=workers))
+    manager = make_manager(fast, db)
     state = {"n": -1}
 
     def families():
@@ -63,19 +69,18 @@ def run_cycles(use_cache: bool, workers: int = 0, cycles: int = 6, db: TSDB | No
 
 class TestDifferential:
     def test_bit_identical_across_structure_churn(self):
-        ref, _ = run_cycles(use_cache=False)
-        fast, _ = run_cycles(use_cache=True)
-        par, _ = run_cycles(use_cache=True, workers=4)
-        assert dump(ref) == dump(fast) == dump(par)
+        ref, _ = run_cycles(fast=False)
+        fast, _ = run_cycles(fast=True)
+        assert dump(ref) == dump(fast)
         # staleness markers must be part of the identical contents
         gone = [s for s in fast.all_series() if "uuid" in s.labels and "job-" in s.labels.get("uuid")]
         assert gone and all(math.isnan(s.values[-1]) for s in gone)
 
     def test_bit_identical_across_retention(self):
-        def run(use_cache):
+        def run(fast):
             db = TSDB(retention=40.0)
             # retention every cycle: refs die constantly under the cache
-            manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache, retention_every=1))
+            manager = make_manager(fast, db, ScrapeConfig(retention_every=1))
             state = {"n": -1}
 
             def families():
@@ -90,9 +95,9 @@ class TestDifferential:
         assert dump(run(False)) == dump(run(True))
 
     def test_bit_identical_across_delete_series(self):
-        def run(use_cache):
+        def run(fast):
             db = TSDB()
-            manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+            manager = make_manager(fast, db)
             fam = exposition.MetricFamily("m", type="gauge")
             fam.add(1.0, uuid="x")
             fam.add(2.0, uuid="y")
@@ -115,12 +120,12 @@ class TestDifferential:
 
     def test_stale_ref_never_appends_to_recreated_series(self):
         """A dead prev-ref whose labels reappeared under a fresh ref
-        must NOT produce a staleness marker (the reference path
-        compares label sets and sees the series as alive)."""
+        must NOT produce a staleness marker (the oracle compares
+        label sets and sees the series as alive)."""
 
-        def run(use_cache):
+        def run(fast):
             db = TSDB()
-            manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+            manager = make_manager(fast, db)
             fam = exposition.MetricFamily("m", type="gauge")
             fam.add(1.0, uuid="x")
             manager.add_target(
@@ -155,8 +160,8 @@ class TestBrokenTargets:
         ups = {s.labels.get("instance"): s.values[-1] for s in db.select([Matcher.name_eq("up")])}
         assert ups == {"bad:9": 0.0, "good:9": 1.0}
 
-    @pytest.mark.parametrize("use_cache", [False, True])
-    def test_handler_crash_counts_as_failure(self, use_cache):
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_handler_crash_counts_as_failure(self, fast):
         db = TSDB()
         crash = App("crash")
 
@@ -164,27 +169,27 @@ class TestBrokenTargets:
             raise ValueError("collector exploded")
 
         crash.router.get("/metrics", boom)
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+        manager = make_manager(fast, db)
         manager.add_target(ScrapeTarget(app=crash, instance="c:9", job="j"))
         manager.scrape_all(now=15.0)
         assert manager.targets[0].scrape_failures_total == 1
 
-    @pytest.mark.parametrize("use_cache", [False, True])
-    def test_invalid_metric_name_counts_as_failure(self, use_cache):
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_invalid_metric_name_counts_as_failure(self, fast):
         # parses fine but fails Labels validation (ValueError, not
         # ScrapeError) — must be contained like any other bad payload
         db = TSDB()
         bad = App("badname")
         bad.router.get("/metrics", lambda req: Response.text("m} 1\n"))
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+        manager = make_manager(fast, db)
         manager.add_target(ScrapeTarget(app=bad, instance="b:9", job="j"))
         manager.scrape_all(now=15.0)
         assert manager.targets[0].scrape_failures_total == 1
 
 
 class TestFailureStaleness:
-    @pytest.mark.parametrize("use_cache", [False, True])
-    def test_failed_scrape_marks_all_series_stale(self, use_cache):
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_failed_scrape_marks_all_series_stale(self, fast):
         """Prometheus behaviour: a dead target's series get staleness
         markers immediately, not after the lookback window."""
         db = TSDB()
@@ -200,7 +205,7 @@ class TestFailureStaleness:
 
         app = App("flaky")
         app.router.get("/metrics", handler)
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=use_cache))
+        manager = make_manager(fast, db)
         manager.add_target(ScrapeTarget(app=app, instance="i", job="j"))
         manager.scrape_all(now=15.0)
         state["alive"] = False
@@ -223,7 +228,7 @@ class TestFailureStaleness:
 
 class TestScrapeCache:
     def test_hits_after_first_cycle(self):
-        _db, manager = run_cycles(use_cache=True, cycles=3)
+        _db, manager = run_cycles(fast=True, cycles=3)
         assert manager.cache_misses_total > 0
         assert manager.cache_hits_total > 0
         # steady series ('power_watts' sensor line, counter line) hit
@@ -232,7 +237,7 @@ class TestScrapeCache:
 
     def test_value_change_is_still_a_hit(self):
         db = TSDB()
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=True))
+        manager = ScrapeManager(db)
         state = {"v": 0.0}
 
         def families():
@@ -250,7 +255,7 @@ class TestScrapeCache:
 
     def test_label_change_misses_and_evicts(self):
         db = TSDB()
-        manager = ScrapeManager(db, ScrapeConfig(use_cache=True))
+        manager = ScrapeManager(db)
         state = {"uuid": "a"}
 
         def families():
@@ -286,7 +291,7 @@ class TestObservability:
     def test_cycle_histogram_and_cache_counters_exposed(self):
         from repro.obs.registry import MetricsRegistry
 
-        _db, manager = run_cycles(use_cache=True, cycles=2)
+        _db, manager = run_cycles(fast=True, cycles=2)
         registry = MetricsRegistry()
         manager.register_metrics(registry)
         text = exposition.render(registry.collect())
@@ -305,20 +310,20 @@ class TestPersistentHead:
 
         with tempfile.TemporaryDirectory() as d:
             db = PersistentTSDB(d)
-            _db, manager = run_cycles(use_cache=True, cycles=4, db=db)
+            _db, manager = run_cycles(fast=True, cycles=4, db=db)
             expected = dump(db)
             db.wal.close()
             reopened = PersistentTSDB(d)
             assert dump(reopened) == expected
             reopened.wal.close()
         # and the durable contents match the plain in-memory fast path
-        mem, _ = run_cycles(use_cache=True, cycles=4)
+        mem, _ = run_cycles(fast=True, cycles=4)
         assert expected == dump(mem)
 
 
 class TestSimulationDifferential:
     """End-to-end: the full stack produces identical *data-plane*
-    contents with the cache on, off, and with a worker pool.
+    contents on the scrape lane and on the oracle.
 
     Self-telemetry is excluded: wall-clock series (request-latency
     histograms, CPU seconds) differ between any two runs regardless
@@ -343,20 +348,21 @@ class TestSimulationDifferential:
             out.append((tuple(s.labels), tuple(s.timestamps), tuple(repr(v) for v in s.values)))
         return out
 
-    def test_small_topology_identical(self):
-        from repro.cluster.simulation import SimulationConfig, StackSimulation
+    def test_small_topology_identical(self, monkeypatch):
+        from repro.cluster import simulation
         from repro.cluster.topology import small_topology
 
-        def run(**kw):
-            sim = StackSimulation(
+        def run():
+            sim = simulation.StackSimulation(
                 small_topology(cpu_nodes=2, gpu_nodes=1),
-                SimulationConfig(seed=11, **kw),
+                simulation.SimulationConfig(seed=11),
             )
             sim.run(450.0)
             return self.data_plane(sim.hot_tsdb)
 
-        ref = run(scrape_cache=False)
-        fast = run(scrape_cache=True)
-        par = run(scrape_cache=True, scrape_workers=3)
+        fast = run()
+        with monkeypatch.context() as patch:
+            patch.setattr(simulation, "ScrapeManager", ReferenceScrapeManager)
+            ref = run()
         assert len(ref) > 100  # the comparison is over real content
-        assert ref == fast == par
+        assert ref == fast

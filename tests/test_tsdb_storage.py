@@ -2,17 +2,39 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import StorageError
 from repro.tsdb.model import Labels, Matcher, MatchOp
-from repro.tsdb.storage import TSDB, Series
+from repro.tsdb.storage import TSDB, ColumnarSeries
+from tests.oracles.list_head import ListSeries
 
 
 def mklabels(name: str, **labels: str) -> Labels:
     return Labels({"__name__": name, **labels})
+
+
+class SealingSeries(ColumnarSeries):
+    """A :class:`ColumnarSeries` cutting 4-sample mini-chunks and sealing
+    after every append, so reads always run over a sealed prefix plus
+    an unsealed tail (production seals lazily, 120 samples a chunk)."""
+
+    __slots__ = ()
+
+    def __init__(self, labels: Labels, ref: int = 0) -> None:
+        super().__init__(labels, ref=ref, seal_samples=4)
+
+    def append(self, timestamp: float, value: float) -> None:
+        super().append(timestamp, value)
+        self.seal()
+
+
+#: Every head series implementation the read tests run on: production,
+#: production with sealed chunks in play, and the list-head oracle.
+SERIES_TYPES = (ColumnarSeries, SealingSeries, ListSeries)
 
 
 class TestAppend:
@@ -128,8 +150,14 @@ class TestSelect:
 
 
 class TestSeriesReads:
+    """Head-series reads on the production :class:`ColumnarSeries`; the
+    subclasses below rerun every case on :class:`SealingSeries` and on
+    the list-head oracle."""
+
+    make = staticmethod(ColumnarSeries)
+
     def test_window(self):
-        series = Series(labels=mklabels("x"))
+        series = self.make(mklabels("x"))
         for i in range(10):
             series.append(float(i), float(i * 10))
         ts, vs = series.window(2.0, 5.0)
@@ -137,12 +165,12 @@ class TestSeriesReads:
         assert vs.tolist() == [20.0, 30.0, 40.0, 50.0]
 
     def test_window_empty(self):
-        series = Series(labels=mklabels("x"))
+        series = self.make(mklabels("x"))
         ts, vs = series.window(0, 10)
         assert len(ts) == 0
 
     def test_at_or_before_with_lookback(self):
-        series = Series(labels=mklabels("x"))
+        series = self.make(mklabels("x"))
         series.append(100.0, 7.0)
         assert series.at_or_before(100.0, 300.0) == (100.0, 7.0)
         assert series.at_or_before(350.0, 300.0) == (100.0, 7.0)
@@ -150,18 +178,38 @@ class TestSeriesReads:
         assert series.at_or_before(99.0, 300.0) is None  # before first sample
 
     def test_stale_marker_hides_series(self):
-        series = Series(labels=mklabels("x"))
+        series = self.make(mklabels("x"))
         series.append(100.0, 7.0)
         series.append(115.0, math.nan)  # staleness marker
         assert series.at_or_before(110.0, 300.0) == (100.0, 7.0)
         assert series.at_or_before(120.0, 300.0) is None
 
     def test_series_resumes_after_stale(self):
-        series = Series(labels=mklabels("x"))
+        series = self.make(mklabels("x"))
         series.append(100.0, 7.0)
         series.append(115.0, math.nan)
         series.append(130.0, 9.0)
         assert series.at_or_before(135.0, 300.0) == (130.0, 9.0)
+
+    def test_chunks_reassemble_arrays(self):
+        series = self.make(mklabels("x"))
+        for i in range(10):
+            series.append(float(i), i * 1.5)
+        handles = series.chunks()
+        ts = np.concatenate([h.arrays()[0] for h in handles])
+        vs = np.concatenate([h.arrays()[1] for h in handles])
+        assert ts.tolist() == series.arrays()[0].tolist()
+        assert vs.tolist() == series.arrays()[1].tolist()
+        pruned = series.chunks(5.0, 5.0)
+        assert pruned and all(h.min_time <= 5.0 <= h.max_time for h in pruned)
+
+
+class TestSealedSeriesReads(TestSeriesReads):
+    make = staticmethod(SealingSeries)
+
+
+class TestListSeriesReads(TestSeriesReads):
+    make = staticmethod(ListSeries)
 
 
 class TestRetention:
@@ -218,27 +266,33 @@ class TestDeleteSeries:
     )
 )
 def test_window_read_matches_naive_property(points):
-    """Window reads agree with a brute-force filter."""
+    """Window reads agree with a brute-force filter on every head."""
     points = sorted({t: v for t, v in points}.items())
-    series = Series(labels=mklabels("p"))
-    for t, v in points:
-        series.append(float(t), v)
     lo, hi = 200.0, 800.0
-    ts, vs = series.window(lo, hi)
     expected = [(float(t), v) for t, v in points if lo <= t <= hi]
-    assert list(zip(ts.tolist(), vs.tolist())) == expected
+    for make in SERIES_TYPES:
+        series = make(mklabels("p"))
+        for t, v in points:
+            series.append(float(t), v)
+        ts, vs = series.window(lo, hi)
+        assert list(zip(ts.tolist(), vs.tolist())) == expected, make.__name__
 
 
 class TestSeriesArrays:
+    """Snapshot caching on :class:`ColumnarSeries`; rerun below on
+    :class:`SealingSeries` and the list-head oracle."""
+
+    make = staticmethod(ColumnarSeries)
+
     def test_snapshot_cached_between_reads(self):
-        series = Series(labels=mklabels("s"))
+        series = self.make(mklabels("s"))
         series.append(1.0, 10.0)
         first = series.arrays()
         assert series.arrays() is first  # same tuple until mutation
         assert first[0].tolist() == [1.0] and first[1].tolist() == [10.0]
 
     def test_snapshot_invalidated_on_append(self):
-        series = Series(labels=mklabels("s"))
+        series = self.make(mklabels("s"))
         series.append(1.0, 10.0)
         before = series.arrays()
         series.append(2.0, 20.0)
@@ -247,19 +301,27 @@ class TestSeriesArrays:
         assert after[1].tolist() == [10.0, 20.0]
 
     def test_snapshot_invalidated_on_overwrite(self):
-        series = Series(labels=mklabels("s"))
+        series = self.make(mklabels("s"))
         series.append(1.0, 10.0)
         series.arrays()
         series.append(1.0, 99.0)  # duplicate timestamp: last-write-wins
         assert series.arrays()[1].tolist() == [99.0]
 
     def test_snapshot_invalidated_on_truncate(self):
-        series = Series(labels=mklabels("s"))
+        series = self.make(mklabels("s"))
         for i in range(5):
             series.append(float(i), float(i))
         series.arrays()
         series.truncate_before(3.0)
         assert series.arrays()[0].tolist() == [3.0, 4.0]
+
+
+class TestSealedSeriesArrays(TestSeriesArrays):
+    make = staticmethod(SealingSeries)
+
+
+class TestListSeriesArrays(TestSeriesArrays):
+    make = staticmethod(ListSeries)
 
 
 class TestSelectorMemo:
