@@ -405,13 +405,21 @@ class ScrapeManager:
             # delete_series dropped the series): re-resolve through
             # labels — recreating the series exactly like a plain
             # append by labels — and heal the cache entries so the
-            # next cycle is back on refs.
+            # next cycle is back on refs.  Then replay every sample of
+            # a healed series in batch order: the series can also sit
+            # in the batch under another raw key whose ref is live
+            # (reordered labels), already appended above, and
+            # same-timestamp appends are last-write-wins.
             dead_refs = {ref for ref, _ in dead}
-            for i, (entry, value) in enumerate(batch):
+            healed = set()
+            for i, (entry, _value) in enumerate(batch):
                 if pairs[i][0] in dead_refs:
                     entry.ref = get_ref(entry.labels)
-                    storage.append_ref(entry.ref, now, value)
+                    healed.add(entry.ref)
                     samples += 1
+            for entry, value in batch:
+                if entry.ref in healed:
+                    storage.append_ref(entry.ref, now, value)
         if exemplars:
             # After the sample loop: dead refs have been healed above,
             # so entry.ref is always live here and the exemplar lands

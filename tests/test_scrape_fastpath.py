@@ -4,7 +4,8 @@ The scrape lane (per-target scrape cache + append-by-ref) must be
 **bit-identical** to the parse-everything oracle
 (``tests/oracles/scrape_reference.py``): same series set, same sample
 values, same staleness markers — across structure churn, retention,
-and series deletion.  These tests are the harness behind that claim.
+and series deletion.  These tests are the harness behind that claim;
+``test_scrape_property.py`` draws random payload sequences for it.
 """
 
 import math
@@ -117,6 +118,27 @@ class TestDifferential:
         # only post-delete samples in both paths
         x = ref.select([Matcher.eq("uuid", "x")])[0]
         assert x.timestamps == [30.0, 45.0]
+
+    def test_dead_ref_keeps_batch_order_across_duplicate_keys(self):
+        """One series under two raw keys (label order differs) whose
+        first key's cached ref died: the later line must still win the
+        same-timestamp overwrite, as it does on the oracle."""
+
+        def run(fast):
+            db = TSDB()
+            manager = make_manager(fast, db)
+            payloads = iter(['m{a="1",b="2"} 1\n', 'm{a="1",b="2"} 5\nm{b="2",a="1"} 7\n'])
+            app = App("dup")
+            app.router.get("/metrics", lambda req: Response.text(next(payloads)))
+            manager.add_target(ScrapeTarget(app=app, instance="i", job="j"))
+            manager.scrape_all(now=15.0)
+            db.delete_series([Matcher.eq("a", "1")])  # the cached ref dies
+            manager.scrape_all(now=30.0)
+            return db
+
+        ref, fast = run(False), run(True)
+        assert dump(ref) == dump(fast)
+        assert fast.select([Matcher.eq("a", "1")])[0].values == [7.0]
 
     def test_stale_ref_never_appends_to_recreated_series(self):
         """A dead prev-ref whose labels reappeared under a fresh ref
